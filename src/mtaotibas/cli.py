@@ -31,7 +31,6 @@ from .errors import (
     UnknownCertificate,
     UnsupportedOperation,
 )
-from .harness import Challenger, CoCDHInstance, bound_check, monte_carlo_abort, optimal_delta, run_workload
 from .pairing import get_engine, load_vector_table
 
 EXIT_VALID = 0
@@ -274,7 +273,8 @@ def cmd_verify(obj, params_path, bundle_path, check_certs):
 
 
 # ---------------------------------------------------------------------------
-# harness subcommands
+# harness subcommands; each imports the harness itself, so that the other
+# commands do not pay for loading it
 
 
 @main.group()
@@ -293,6 +293,8 @@ def harness():
 @cli_errors
 def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcript):
     """Replay a JSON workload script against a fresh challenger."""
+    from .harness import Challenger, CoCDHInstance, optimal_delta, run_workload
+
     engine = obj.engine
     with open(workload_path, "r", encoding="utf-8") as fh:
         ops = json.load(fh)
@@ -329,6 +331,8 @@ def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcr
 @cli_errors
 def cmd_bound_check(qc, qe, qs, n, grid):
     """Check the success-probability bound in exact arithmetic."""
+    from .harness import bound_check
+
     if grid:
         worst = None
         points = 0
@@ -364,6 +368,8 @@ def cmd_bound_check(qc, qe, qs, n, grid):
 @cli_errors
 def cmd_monte_carlo(delta, qc, qe, qs, trials, mc_seed, jobs):
     """Estimate the no-abort probability for the standard workload."""
+    from .harness import monte_carlo_abort
+
     rep = monte_carlo_abort(delta, qc, qe, qs, trials=trials, seed=mc_seed, jobs=jobs)
     emit(rep)
     if not rep["passes"]:

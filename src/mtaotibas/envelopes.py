@@ -15,7 +15,7 @@ included), so a successfully decoded object is safe to compute with.
 
 import json
 import struct
-from typing import List
+from typing import List, Tuple
 
 from .errors import InvalidElement, MalformedEnvelope
 from .scheme import (
@@ -125,17 +125,28 @@ def _key_fields(engine, k: SignerKey) -> List[bytes]:
     return [k.signer_id, k.ta_fingerprint, engine.encode_g1(k.s0), engine.encode_g1(k.s1)]
 
 
-def _key_from_fields(engine, fields: List[bytes]) -> SignerKey:
-    if not fields[0]:
+def _key_owner(signer_id: bytes, ta_fingerprint: bytes) -> Tuple[bytes, bytes]:
+    if not signer_id:
         raise MalformedEnvelope("empty signer identity")
-    if len(fields[1]) != 32:
+    if len(ta_fingerprint) != 32:
         raise MalformedEnvelope("authority fingerprint must be 32 bytes")
+    return bytes(signer_id), bytes(ta_fingerprint)
+
+
+def _key_from_fields(engine, fields: List[bytes]) -> SignerKey:
+    signer_id, ta_fingerprint = _key_owner(fields[0], fields[1])
     return SignerKey(
-        signer_id=bytes(fields[0]),
-        ta_fingerprint=bytes(fields[1]),
+        signer_id=signer_id,
+        ta_fingerprint=ta_fingerprint,
         s0=engine.decode_g1(fields[2]),
         s1=engine.decode_g1(fields[3]),
     )
+
+
+def signer_key_owner(data: bytes) -> Tuple[bytes, bytes]:
+    """Check the framing of a binary signer-key envelope and return its
+    (signer_id, ta_fingerprint), leaving the two G1 components undecoded."""
+    return _key_owner(*_unpack_fields(_unframe(data, "signer-key"), 4)[:2])
 
 
 def _sig_fields(engine, s: Signature) -> List[bytes]:
@@ -335,12 +346,9 @@ def from_json_obj(engine, doc: dict, expect: str):
     if expect == "ta-record":
         return _ta_json(engine, f)
     if expect == "signer-key":
-        ident = _unhex(_require(f, "signer_id"))
-        fp = _unhex(_require(f, "ta_fingerprint"))
-        if not ident:
-            raise MalformedEnvelope("empty signer identity")
-        if len(fp) != 32:
-            raise MalformedEnvelope("authority fingerprint must be 32 bytes")
+        ident, fp = _key_owner(
+            _unhex(_require(f, "signer_id")), _unhex(_require(f, "ta_fingerprint"))
+        )
         return SignerKey(
             signer_id=ident,
             ta_fingerprint=fp,

@@ -13,10 +13,20 @@ Journal layout: an 8-byte header, then framed records of
     {"op": "add", "entry": 7, "key": "<hex signer-key envelope>"}
     {"op": "use", "entry": 7, "at": 1730000000.0, "digest": "<sha256 hex>"}
 
+Replay checks each record's framing, CRC and schema; for an ``add`` it
+reads the signer identity and authority fingerprint from the envelope's
+framing and keeps the envelope bytes. The key's two G1 points are decoded,
+with the full curve and subgroup checks, when the key is first used and
+before any signature; a stored key that fails that decode raises
+CorruptJournal naming its entry. Opening a journal therefore costs no
+group arithmetic, and fresh (identity, authority) pairs are indexed so the
+duplicate check is one lookup.
+
 A corrupt or truncated final record is dropped with a warning (it can only
-be a torn write); a corrupt record with valid data after it means real
-damage and raises CorruptJournal. An OS-level file lock keeps two
-processes from appending to the same journal.
+be a torn write); a corrupt record with valid data after it, or a
+CRC-valid record that breaks the schema, means real damage and raises
+CorruptJournal. An OS-level file lock keeps two processes from appending
+to the same journal.
 """
 
 import fcntl
@@ -29,14 +39,16 @@ import time
 import warnings
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from . import envelopes, scheme
 from .errors import (
     CorruptJournal,
     DuplicateKey,
+    InvalidElement,
     KeyAlreadyUsed,
     KeyNotFound,
+    MalformedEnvelope,
     StoreLocked,
 )
 
@@ -47,12 +59,45 @@ STATUS_USED = "used"
 _MAX_RECORD = 1 << 24
 
 
+class _StoredKey:
+    """A signer-key envelope as stored in the journal. The owner is read from
+    the framing; the key itself is decoded on first use and then kept, so
+    every copy of an entry shares one decode."""
+
+    __slots__ = ("raw", "owner", "_engine", "_where", "_key")
+
+    def __init__(self, engine, raw: bytes, where: str, key: Optional[scheme.SignerKey] = None):
+        self.owner = envelopes.signer_key_owner(raw)  # (signer_id, ta_fingerprint)
+        self.raw = raw
+        self._engine = engine
+        self._where = where
+        self._key = key
+
+    def key(self) -> scheme.SignerKey:
+        if self._key is None:
+            try:
+                self._key = envelopes.from_binary(self._engine, self.raw, "signer-key")
+            except (InvalidElement, MalformedEnvelope) as exc:
+                raise CorruptJournal(f"{self._where}: stored key does not decode: {exc}") from exc
+        return self._key
+
+    def __eq__(self, other):
+        return isinstance(other, _StoredKey) and self.raw == other.raw
+
+    __hash__ = None
+
+
 @dataclass
 class KeyEntry:
-    key: scheme.SignerKey
+    stored: _StoredKey
     status: str = STATUS_FRESH
     used_at: Optional[float] = None
     message_digest: Optional[bytes] = None
+
+    @property
+    def key(self) -> scheme.SignerKey:
+        """The signer key, decoded and validated on first use."""
+        return self.stored.key()
 
 
 class KeyStore:
@@ -63,6 +108,7 @@ class KeyStore:
         self.engine = engine
         self._lock = threading.RLock()
         self._entries: Dict[int, KeyEntry] = {}
+        self._fresh: Dict[Tuple[bytes, bytes], int] = {}  # owner -> its fresh entry
         self._next_id = 1
         # called after a use record is durably on disk, before the signature
         # is returned; tests inject crashes here
@@ -75,7 +121,11 @@ class KeyStore:
             self._fh.close()
             raise StoreLocked(f"journal {self.path} is locked by another process") from exc
         if existing:
-            self._replay()
+            try:
+                self._replay()
+            except BaseException:
+                self.close()  # release the lock even while the error is held
+                raise
         else:
             self._fh.write(JOURNAL_MAGIC)
             self._fh.flush()
@@ -89,7 +139,6 @@ class KeyStore:
         if len(data) < len(JOURNAL_MAGIC) or data[: len(JOURNAL_MAGIC)] != JOURNAL_MAGIC:
             raise CorruptJournal(f"{self.path}: bad journal header")
         off = len(JOURNAL_MAGIC)
-        good = off
         size = len(data)
         while off < size:
             if off + 4 > size:
@@ -108,7 +157,6 @@ class KeyStore:
                     return
                 raise CorruptJournal(f"{self.path}: checksum failure at offset {off}")
             self._apply(payload, off)
-            good = end
             off = end
 
     def _truncate_tail(self, offset: int, why: str) -> None:
@@ -118,26 +166,64 @@ class KeyStore:
         os.fsync(self._fh.fileno())
 
     def _apply(self, payload: bytes, off: int) -> None:
+        def corrupt(why: str) -> CorruptJournal:
+            return CorruptJournal(f"{self.path}: record at offset {off}: {why}")
+
+        def hex_field(name: str) -> bytes:
+            try:
+                return bytes.fromhex(rec.get(name))
+            except (TypeError, ValueError):
+                raise corrupt(f"{name!r} is not a hex string") from None
+
         try:
             rec = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptJournal(f"{self.path}: unreadable record at offset {off}: {exc}") from exc
+            raise corrupt(f"unreadable: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise corrupt("not a JSON object")
         op = rec.get("op")
+        if op not in ("add", "use"):
+            raise corrupt(f"unknown record op {op!r}")
+        entry_id = rec.get("entry")
+        if type(entry_id) is not int:
+            raise corrupt("'entry' is not an integer")
         if op == "add":
-            entry_id = int(rec["entry"])
-            key = envelopes.from_binary(self.engine, bytes.fromhex(rec["key"]), "signer-key")
-            self._entries[entry_id] = KeyEntry(key=key)
-            self._next_id = max(self._next_id, entry_id + 1)
-        elif op == "use":
-            entry_id = int(rec["entry"])
+            if entry_id in self._entries:
+                raise corrupt(f"add record reuses entry {entry_id}")
+            try:
+                stored = _StoredKey(self.engine, hex_field("key"), self._where(entry_id))
+            except MalformedEnvelope as exc:
+                raise corrupt(f"'key' is not a signer-key envelope: {exc}") from exc
+            if stored.owner in self._fresh:
+                raise corrupt("second fresh key for one signer and authority")
+            self._add(entry_id, stored)
+        else:
             entry = self._entries.get(entry_id)
             if entry is None:
-                raise CorruptJournal(f"{self.path}: use record for unknown entry {entry_id}")
-            entry.status = STATUS_USED
-            entry.used_at = float(rec["at"])
-            entry.message_digest = bytes.fromhex(rec["digest"])
-        else:
-            raise CorruptJournal(f"{self.path}: unknown record op {op!r} at offset {off}")
+                raise corrupt(f"use record for unknown entry {entry_id}")
+            if entry.status != STATUS_FRESH:
+                raise corrupt(f"second use record for entry {entry_id}")
+            used_at = rec.get("at")
+            if type(used_at) not in (int, float):
+                raise corrupt("'at' is not a number")
+            digest = hex_field("digest")
+            if len(digest) != 32:
+                raise corrupt("'digest' is not 32 bytes")
+            self._mark_used(entry, float(used_at), digest)
+
+    def _where(self, entry_id: int) -> str:
+        return f"{self.path}: entry {entry_id}"
+
+    def _add(self, entry_id: int, stored: _StoredKey) -> None:
+        self._entries[entry_id] = KeyEntry(stored)
+        self._fresh[stored.owner] = entry_id
+        self._next_id = max(self._next_id, entry_id + 1)
+
+    def _mark_used(self, entry: KeyEntry, used_at: float, digest: bytes) -> None:
+        entry.status = STATUS_USED
+        entry.used_at = used_at
+        entry.message_digest = digest
+        del self._fresh[entry.stored.owner]
 
     def _append(self, rec: dict) -> None:
         payload = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -153,25 +239,14 @@ class KeyStore:
         """Persist a fresh key. Rejects a second fresh key for the same
         (identity, authority); storing again after use models key rotation."""
         with self._lock:
-            for entry in self._entries.values():
-                if (
-                    entry.status == STATUS_FRESH
-                    and entry.key.signer_id == key.signer_id
-                    and entry.key.ta_fingerprint == key.ta_fingerprint
-                ):
-                    raise DuplicateKey(
-                        f"fresh key for {key.signer_id!r} under this authority already stored"
-                    )
+            if (key.signer_id, key.ta_fingerprint) in self._fresh:
+                raise DuplicateKey(
+                    f"fresh key for {key.signer_id!r} under this authority already stored"
+                )
             entry_id = self._next_id
-            self._append(
-                {
-                    "op": "add",
-                    "entry": entry_id,
-                    "key": envelopes.to_binary(self.engine, key).hex(),
-                }
-            )
-            self._entries[entry_id] = KeyEntry(key=key)
-            self._next_id = entry_id + 1
+            raw = envelopes.to_binary(self.engine, key)
+            self._append({"op": "add", "entry": entry_id, "key": raw.hex()})
+            self._add(entry_id, _StoredKey(self.engine, raw, self._where(entry_id), key))
             return entry_id
 
     def sign_once(self, entry_id: int, ta: scheme.TARecord, message: bytes) -> scheme.Signature:
@@ -189,9 +264,7 @@ class KeyStore:
             self._append(
                 {"op": "use", "entry": entry_id, "at": used_at, "digest": digest.hex()}
             )
-            entry.status = STATUS_USED
-            entry.used_at = used_at
-            entry.message_digest = digest
+            self._mark_used(entry, used_at, digest)
             if self.after_persist_hook is not None:
                 self.after_persist_hook()
             return signature
@@ -201,12 +274,12 @@ class KeyStore:
             entry = self._entries.get(entry_id)
             if entry is None:
                 raise KeyNotFound(f"no entry {entry_id}")
-            return KeyEntry(entry.key, entry.status, entry.used_at, entry.message_digest)
+            return KeyEntry(entry.stored, entry.status, entry.used_at, entry.message_digest)
 
     def entries(self) -> Dict[int, KeyEntry]:
         with self._lock:
             return {
-                i: KeyEntry(e.key, e.status, e.used_at, e.message_digest)
+                i: KeyEntry(e.stored, e.status, e.used_at, e.message_digest)
                 for i, e in self._entries.items()
             }
 

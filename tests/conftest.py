@@ -4,7 +4,7 @@ import pytest
 
 from mtaotibas.encoding import length_prefixed
 from mtaotibas import scheme
-from mtaotibas.pairing import MockEngine, get_engine
+from mtaotibas.pairing import MockEngine, bls12381, get_engine
 from mtaotibas.scheme import DOMAIN_CERT, DOMAIN_H0, DOMAIN_H1
 
 # The pinned mock scenario: three signers across two authorities with
@@ -167,6 +167,21 @@ def cli_lifecycle_steps():
                            "s1.json", "s2.json", "s3.json"]),
         ("verify", m + ["verify", "--params", "params.json", "--bundle", "bundle.json"]),
     ]
+
+
+def off_subgroup_g1_point():
+    """A BLS12-381 point on the curve but outside the r-subgroup. Scaling a
+    curve point by r gives the identity, so walk x until a curve point has a
+    cofactor component."""
+    x = 1
+    while True:
+        t = (x * x * x + 4) % bls12381.PRIME
+        y = bls12381._fq_sqrt(t)
+        if y is not None:
+            pt = (bls12381.mpz(x), bls12381.mpz(y))
+            if not bls12381.g1_in_subgroup(pt):
+                return pt
+        x += 1
 
 
 def random_honest_bundle(engine, rng, n, l):

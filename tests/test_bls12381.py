@@ -8,6 +8,8 @@ from mtaotibas.errors import EmptyInput, InvalidElement, UnsupportedOperation
 from mtaotibas.pairing import bls12381 as curve
 from mtaotibas.pairing import get_engine
 
+from conftest import off_subgroup_g1_point
+
 
 def _bilinearity_worker(args):
     lo, hi = args
@@ -176,20 +178,8 @@ def test_decode_rejects_malformed(bls_engine):
 
 
 def test_decode_rejects_wrong_subgroup():
-    # a point on the curve but outside the r-subgroup must be rejected;
-    # build one by scaling a curve point by r (gives identity) is no good,
-    # so walk x until we find a curve point and check the subgroup test
-    # catches cofactor components
-    x = 1
-    while True:
-        t = (x * x * x + 4) % curve.PRIME
-        y = curve._fq_sqrt(t)
-        if y is not None:
-            pt = (curve.mpz(x), curve.mpz(y))
-            if not curve.g1_in_subgroup(pt):
-                break
-        x += 1
-    data = curve.encode_g1_point(pt)
+    # a point on the curve but outside the r-subgroup must be rejected
+    data = curve.encode_g1_point(off_subgroup_g1_point())
     with pytest.raises(InvalidElement):
         curve.decode_g1_point(data)
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import mtaotibas
 from mtaotibas.cli import main
 
 from conftest import CLI_MOCK_ARGS as MOCK
@@ -194,6 +198,21 @@ def test_harness_bound_check_point(workdir):
     assert result.exit_code == 0
     rep = json.loads(result.output)
     assert rep["holds"] is True
+
+
+def test_harness_bound_check_grid(workdir):
+    result = run(CliRunner(), ["harness", "bound-check", "--grid"])
+    assert result.exit_code == 0
+    rep = json.loads(result.output)
+    assert rep["points"] == 625
+    assert rep["all_hold"] is True
+
+
+def test_cli_import_leaves_harness_unloaded():
+    src = str(Path(mtaotibas.__file__).resolve().parents[1])
+    code = "import sys, mtaotibas.cli; sys.exit('mtaotibas.harness' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_harness_monte_carlo_small(workdir):

@@ -1,10 +1,14 @@
+import json
+import random
 import struct
 import threading
 import zlib
 
 import pytest
+from click.testing import CliRunner
 
-from mtaotibas import keystore, scheme
+from mtaotibas import envelopes, keystore, scheme
+from mtaotibas.cli import main
 from mtaotibas.errors import (
     CorruptJournal,
     DuplicateKey,
@@ -13,6 +17,9 @@ from mtaotibas.errors import (
     StoreLocked,
 )
 from mtaotibas.keystore import STATUS_FRESH, STATUS_USED, KeyStore
+from mtaotibas.pairing import bls12381
+
+from conftest import off_subgroup_g1_point
 
 
 @pytest.fixture
@@ -53,22 +60,89 @@ def test_unknown_entry(setup):
             store.get(123)
 
 
+def _record(rec) -> bytes:
+    """A CRC-valid journal frame holding ``rec``."""
+    payload = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+    return struct.pack(">I", len(payload)) + payload + struct.pack(">I", zlib.crc32(payload))
+
+
+def _reopened(store, reopen):
+    """The same store, closed and replayed from its journal when ``reopen``."""
+    if not reopen:
+        return store
+    store.close()
+    return KeyStore(store.path, store.engine)
+
+
+def _store_many(store, fixed_scenario, n):
+    tsec, trec = fixed_scenario["tas"][b"TA-1"]
+    return [
+        store.store_key(scheme.extract(store.engine, tsec, trec, f"dev-{k}".encode()))
+        for k in range(n)
+    ]
+
+
+def _count_decode_g1(monkeypatch, eng):
+    decoded = []
+    original = eng.decode_g1
+
+    def counted(data):
+        decoded.append(bytes(data))
+        return original(data)
+
+    monkeypatch.setattr(eng, "decode_g1", counted)
+    return decoded
+
+
 def test_duplicate_fresh_key_rejected(setup):
     eng, _, key, path = setup
-    with KeyStore(path, eng) as store:
+    for reopen in (False, True):
+        store = KeyStore(path.with_name(f"dup-{reopen}.journal"), eng)
         store.store_key(key)
-        with pytest.raises(DuplicateKey):
-            store.store_key(key)
+        with _reopened(store, reopen) as store:
+            with pytest.raises(DuplicateKey):
+                store.store_key(key)
 
 
 def test_rotation_after_use_allowed(setup):
     eng, trec, key, path = setup
-    with KeyStore(path, eng) as store:
+    for reopen in (False, True):
+        store = KeyStore(path.with_name(f"rotate-{reopen}.journal"), eng)
         first = store.store_key(key)
         store.sign_once(first, trec, b"message-1")
-        second = store.store_key(key)  # re-extraction models the key update
-        assert second != first
-        assert store.get(second).status == STATUS_FRESH
+        with _reopened(store, reopen) as store:
+            second = store.store_key(key)  # re-extraction models the key update
+            assert second != first
+            assert store.get(second).status == STATUS_FRESH
+        with KeyStore(store.path, eng) as store:  # the rotated key is the fresh one
+            with pytest.raises(DuplicateKey):
+                store.store_key(key)
+
+
+def test_reopen_decodes_no_key(setup, fixed_scenario, monkeypatch):
+    eng, trec, _, path = setup
+    with KeyStore(path, eng) as store:
+        ids = _store_many(store, fixed_scenario, 16)
+        store.sign_once(ids[0], trec, b"message-1")
+    decoded = _count_decode_g1(monkeypatch, eng)
+    with KeyStore(path, eng) as store:
+        entries = store.entries()
+        store.get(ids[1])
+    assert len(entries) == 16
+    assert decoded == []
+
+
+def test_sign_once_decodes_its_own_key_once(setup, fixed_scenario, monkeypatch):
+    eng, trec, _, path = setup
+    with KeyStore(path, eng) as store:
+        ids = _store_many(store, fixed_scenario, 16)
+    decoded = _count_decode_g1(monkeypatch, eng)
+    with KeyStore(path, eng) as store:
+        sig = store.sign_once(ids[5], trec, b"message-1")
+        key = store.get(ids[5]).key
+        assert store.entries()[ids[5]].key is key
+    assert decoded == [eng.encode_g1(key.s0), eng.encode_g1(key.s1)]
+    assert sig == scheme.sign(eng, key, trec, b"message-1")
 
 
 def test_reload_preserves_state(setup):
@@ -158,15 +232,81 @@ def test_corrupt_trailing_record_dropped_with_warning(setup):
                 store.get(a)
 
 
-def test_unknown_record_op_is_corrupt(setup):
-    eng, _, _, path = setup
-    KeyStore(path, eng).close()
-    payload = b'{"op":"explode"}'
-    frame = struct.pack(">I", len(payload)) + payload + struct.pack(">I", zlib.crc32(payload))
+_USE = {"op": "use", "entry": 1, "at": 1.0, "digest": "00" * 32}
+
+# CRC-valid records appended after entry 1 (the key of ID-A), the last of
+# which breaks the schema; ``hexes`` holds hex envelopes of ID-A's key
+# ("A"), ID-B's key ("B") and a signature ("sig")
+_CORRUPT_TAILS = {
+    "unknown-op": lambda hexes: [{"op": "explode"}],
+    "not-an-object": lambda hexes: [["add", 2]],
+    "entry-not-int": lambda hexes: [dict(_USE, entry="1")],
+    "entry-bool": lambda hexes: [dict(_USE, entry=True)],
+    "add-without-key": lambda hexes: [{"op": "add", "entry": 2}],
+    "key-not-hex": lambda hexes: [{"op": "add", "entry": 2, "key": "zz"}],
+    "key-not-signer-key": lambda hexes: [{"op": "add", "entry": 2, "key": hexes["sig"]}],
+    "add-reuses-entry": lambda hexes: [{"op": "add", "entry": 1, "key": hexes["B"]}],
+    "second-fresh-key-for-owner": lambda hexes: [{"op": "add", "entry": 2, "key": hexes["A"]}],
+    "use-unknown-entry": lambda hexes: [dict(_USE, entry=9)],
+    "at-missing": lambda hexes: [{k: v for k, v in _USE.items() if k != "at"}],
+    "at-not-number": lambda hexes: [dict(_USE, at="now")],
+    "digest-not-hex": lambda hexes: [dict(_USE, digest="xyz")],
+    "digest-not-32-bytes": lambda hexes: [dict(_USE, digest="00" * 31)],
+    "second-use": lambda hexes: [_USE, _USE],
+}
+
+
+@pytest.mark.parametrize("tail", list(_CORRUPT_TAILS.values()), ids=list(_CORRUPT_TAILS))
+def test_unknown_record_op_is_corrupt(setup, fixed_scenario, tail):
+    eng, _, key, path = setup
+    with KeyStore(path, eng) as store:
+        store.store_key(key)
+    hexes = {
+        "A": envelopes.to_binary(eng, key).hex(),
+        "B": envelopes.to_binary(eng, fixed_scenario["keys"][b"ID-B"]).hex(),
+        "sig": envelopes.to_binary(eng, fixed_scenario["signatures"][0]).hex(),
+    }
+    frames = [_record(rec) for rec in tail(hexes)]
+    offset = path.stat().st_size + sum(map(len, frames[:-1]))
     with open(path, "ab") as fh:
-        fh.write(frame + frame)  # two records so neither is trailing-droppable
-    with pytest.raises(CorruptJournal):
+        fh.write(b"".join(frames))
+    with pytest.raises(CorruptJournal, match=f"offset {offset}:"):
         KeyStore(path, eng)
+
+
+def test_damaged_stored_key_fails_on_use(bls_engine, tmp_path):
+    eng = bls_engine
+    rng = random.Random(5)
+    master, params = scheme.root_setup(eng, rng)
+    tsec, trec = scheme.lowerlevel_setup(eng, params, master, b"TA-1", rng)
+    path = tmp_path / "keys.journal"
+    with KeyStore(path, eng) as store:
+        good = store.store_key(scheme.extract(eng, tsec, trec, b"ID-GOOD"))
+    # entry 2: a CRC-valid add whose s1 (the last field) is on the curve but
+    # outside the subgroup
+    raw = envelopes.to_binary(eng, scheme.extract(eng, tsec, trec, b"ID-BAD"))
+    raw = raw[: -eng.g1_bytes] + bls12381.encode_g1_point(off_subgroup_g1_point())
+    with open(path, "ab") as fh:
+        fh.write(_record({"op": "add", "entry": 2, "key": raw.hex()}))
+
+    with KeyStore(path, eng) as store:
+        sig = store.sign_once(good, trec, b"message-1")
+        bundle = scheme.AggregateBundle.build([(trec, [(b"ID-GOOD", b"message-1")])], sig.sigma)
+        assert scheme.verify(eng, params, bundle).valid
+        size = path.stat().st_size
+        with pytest.raises(CorruptJournal, match="entry 2"):
+            store.sign_once(2, trec, b"message-2")
+        assert store.get(2).status == STATUS_FRESH
+    assert path.stat().st_size == size
+
+    envelopes.save_json(tmp_path / "ta.json", eng, trec)
+    (tmp_path / "m2.bin").write_bytes(b"message-2")
+    result = CliRunner().invoke(main, [
+        "sign", "--store", str(path), "--entry-id", "2", "--ta-record", str(tmp_path / "ta.json"),
+        "--message-file", str(tmp_path / "m2.bin"), "--out", str(tmp_path / "s2.json")])
+    assert result.exit_code == 2
+    assert "entry 2" in result.stderr
+    assert path.stat().st_size == size
 
 
 def test_file_lock_excludes_second_writer(setup):
@@ -181,6 +321,8 @@ def test_concurrent_contenders_single_winner(setup):
     contenders = 32
     with KeyStore(path, eng) as store:
         entry_id = store.store_key(key)
+    # reopened, so the contenders also race on the key's first-use decode
+    with KeyStore(path, eng) as store:
         outcomes = []
         barrier = threading.Barrier(contenders)
 
