@@ -1,11 +1,16 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from mtaotibas import envelopes, scheme
 from mtaotibas.errors import InvalidElement, MalformedEnvelope
 from mtaotibas.pairing import MockEngine
+
+from conftest import random_honest_bundle
+
+GOLDEN = Path(__file__).parent / "data" / "golden_envelopes.json"
 
 
 def _everything(fixed_scenario):
@@ -40,6 +45,43 @@ def test_json_round_trip_all_types(fixed_scenario):
         back = envelopes.from_json_obj(eng, json.loads(text), name)
         assert back == obj
         assert envelopes.dump_json(envelopes.to_json_obj(eng, back)) == text
+
+
+def _production_objects(engine):
+    """One of each type from a seeded production run."""
+    rng = random.Random(4)
+    master, params = scheme.root_setup(engine, rng)
+    tsec, trec = scheme.lowerlevel_setup(engine, params, master, b"golden-ta", rng)
+    key = scheme.extract(engine, tsec, trec, b"golden-signer")
+    sig = scheme.sign(engine, key, trec, b"golden-message")
+    _, bundle = random_honest_bundle(engine, rng, 3, 2)
+    return [
+        ("system-params", params),
+        ("master-secret", master),
+        ("ta-secret", tsec),
+        ("ta-record", trec),
+        ("signer-key", key),
+        ("signature", sig),
+        ("aggregate-bundle", bundle),
+    ]
+
+
+@pytest.mark.parametrize("backend", ["mock", "production"])
+def test_golden_vectors(backend, fixed_scenario, bls_engine):
+    """Both wire formats reproduce the committed vectors byte for byte, and
+    the committed bytes decode back to the same objects."""
+    golden = json.loads(GOLDEN.read_text())[backend]
+    if backend == "mock":
+        eng, objs = _everything(fixed_scenario)
+    else:
+        eng, objs = bls_engine, _production_objects(bls_engine)
+    assert sorted(golden) == sorted(name for name, _ in objs)
+    for name, obj in objs:
+        want = golden[name]
+        assert envelopes.to_binary(eng, obj).hex() == want["binary"], name
+        assert envelopes.dump_json(envelopes.to_json_obj(eng, obj)) == want["json"], name
+        assert envelopes.from_binary(eng, bytes.fromhex(want["binary"]), name) == obj, name
+        assert envelopes.from_json_obj(eng, json.loads(want["json"]), name) == obj, name
 
 
 def test_json_hex_is_lowercase_fixed_width(fixed_scenario):

@@ -1,8 +1,10 @@
 import json
 import random
+import shutil
 import struct
 import threading
 import zlib
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -20,6 +22,8 @@ from mtaotibas.keystore import STATUS_FRESH, STATUS_USED, KeyStore
 from mtaotibas.pairing import bls12381
 
 from conftest import off_subgroup_g1_point
+
+GOLDEN_JOURNAL = Path(__file__).parent / "data" / "mock_keys.journal"
 
 
 @pytest.fixture
@@ -307,6 +311,22 @@ def test_damaged_stored_key_fails_on_use(bls_engine, tmp_path):
     assert result.exit_code == 2
     assert "entry 2" in result.stderr
     assert path.stat().st_size == size
+
+
+def test_committed_journal_replays(fixed_scenario, tmp_path):
+    """A journal written by an earlier release: entry 1 holds ID-A's key and
+    signed message-1, entry 2 holds ID-B's key, fresh."""
+    eng = fixed_scenario["engine"]
+    _, trec = fixed_scenario["tas"][b"TA-1"]
+    path = tmp_path / "keys.journal"
+    shutil.copy(GOLDEN_JOURNAL, path)
+    with KeyStore(path, eng) as store:
+        assert store.get(1).key == fixed_scenario["keys"][b"ID-A"]
+        assert store.get(1).status == STATUS_USED
+        with pytest.raises(KeyAlreadyUsed):
+            store.sign_once(1, trec, b"message-1")
+        sig = store.sign_once(2, trec, b"message-2")
+    assert sig == fixed_scenario["signatures"][1]
 
 
 def test_file_lock_excludes_second_writer(setup):
