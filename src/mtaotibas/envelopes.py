@@ -1,23 +1,29 @@
 """Serialized forms for every persistent object.
 
-Two interchangeable envelopes are supported and both round-trip
-bit-exactly:
+One table, ``_TYPES``, gives each type's binary tag, class and ordered
+fields; one walker per format reads and writes every type from it. Both
+envelopes round-trip bit-exactly:
 
-* binary: magic ``MTAO``, version u8, type tag u8, then the object's
-  fields in declaration order, each length-prefixed with a u32 big-endian
-  length;
+* binary: magic ``MTAO``, version u8, type tag u8, then the fields in table
+  order. A plain field is a u32 big-endian length and its bytes, a nested
+  record a u32 length and its own fields, a list a u32 count and its items'
+  fields; the bundle's trailing ``omega`` is fixed-width, with no prefix;
 * JSON: ``{"format": "MTAO", "version": 1, "type": ..., "fields": ...}``
-  with all byte fields as lowercase fixed-width hex.
+  with nested records as objects, lists as lists, the backend name as a
+  string and every other field as lowercase fixed-width hex.
 
 Decoding validates group elements against the engine (subgroup membership
-included), so a successfully decoded object is safe to compute with.
+included), so a successfully decoded object is safe to compute with. Any
+other malformed input, a wrongly typed JSON node included, raises
+MalformedEnvelope.
 """
 
+import io
 import json
 import struct
-from typing import List, Tuple
+from typing import NamedTuple, Optional, Tuple
 
-from .errors import InvalidElement, MalformedEnvelope
+from .errors import MalformedEnvelope
 from .scheme import (
     AggregateBundle,
     MasterSecret,
@@ -31,356 +37,270 @@ from .scheme import (
 MAGIC = b"MTAO"
 VERSION = 1
 
-_TYPE_TAGS = {
-    "system-params": 1,
-    "ta-record": 2,
-    "signer-key": 3,
-    "signature": 4,
-    "aggregate-bundle": 5,
-    "master-secret": 6,
-    "ta-secret": 7,
+
+def _checked(value, ok: bool, why: str):
+    if not ok:
+        raise MalformedEnvelope(why)
+    return value
+
+
+def _backend(engine, name: str) -> str:
+    return _checked(name, name == engine.backend,
+                    f"params are for backend {name!r}, engine is {engine.backend!r}")
+
+
+def _generator(decoded, expected):
+    return _checked(decoded, decoded == expected, "generator mismatch")
+
+
+# kind -> (value to bytes, checked bytes to value); the bytes are a binary
+# field's body and, in hex, its JSON form
+_CODECS = {
+    "bytes": (lambda e, v: v, lambda e, b: bytes(b)),
+    "identity": (lambda e, v: v, lambda e, b: _checked(bytes(b), len(b) > 0, "empty identity")),
+    "fingerprint": (lambda e, v: v, lambda e, b: _checked(
+        bytes(b), len(b) == 32, "authority fingerprint must be 32 bytes")),
+    "backend": (lambda e, v: v.encode(), lambda e, b: _backend(e, b.decode())),
+    "scalar": (lambda e, v: e.encode_scalar(v), lambda e, b: e.decode_scalar(b)),
+    "g1": (lambda e, v: e.encode_g1(v), lambda e, b: e.decode_g1(b)),
+    "g2": (lambda e, v: e.encode_g2(v), lambda e, b: e.decode_g2(b)),
+    "g1-generator": (lambda e, _: e.encode_g1(e.g1), lambda e, b: _generator(e.decode_g1(b), e.g1)),
+    "g2-generator": (lambda e, _: e.encode_g2(e.g2), lambda e, b: _generator(e.decode_g2(b), e.g2)),
+    "omega": (lambda e, v: e.encode_g1(v), lambda e, b: e.decode_g1(b)),
 }
-_TAG_NAMES = {v: k for k, v in _TYPE_TAGS.items()}
+_GENERATORS = ("g1-generator", "g2-generator")  # checked on decode, not stored
 
 
-def _pack_fields(fields: List[bytes]) -> bytes:
+class _Field(NamedTuple):
+    name: str  # attribute and JSON key
+    kind: str  # a _CODECS key, "record" or "list"
+    item: Optional["_Record"] = None  # the nested record, or a list's items
+    cap: int = 0  # a list's largest plausible binary count
+
+
+class _Record(NamedTuple):
+    tag: Optional[int]  # binary type tag; None for records only found nested
+    cls: Optional[type]  # None: a plain tuple
+    fields: Tuple[_Field, ...]
+
+    def values(self, obj):
+        return obj if self.cls is None else [getattr(obj, f.name, None) for f in self.fields]
+
+    def make(self, values):
+        kept = [v for f, v in zip(self.fields, values) if f.kind not in _GENERATORS]
+        return self.cls(*kept) if self.cls else tuple(kept)
+
+
+_TA = _Record(2, TARecord, (_Field("ta_identity", "identity"), _Field("y_i", "g2"), _Field("cert", "g1")))
+_SIGNER = _Record(None, None, (_Field("identity", "bytes"), _Field("message", "bytes")))
+_GROUP = _Record(None, None, (
+    _Field("ta_record", "record", _TA), _Field("signers", "list", _SIGNER, 1 << 20)))
+
+_TYPES = {
+    "system-params": _Record(1, SystemParams, (
+        _Field("backend", "backend"),
+        _Field("g1", "g1-generator"),
+        _Field("g2", "g2-generator"),
+        _Field("y", "g2"),
+    )),
+    "ta-record": _TA,
+    "signer-key": _Record(3, SignerKey, (
+        _Field("signer_id", "identity"),
+        _Field("ta_fingerprint", "fingerprint"),
+        _Field("s0", "g1"),
+        _Field("s1", "g1"),
+    )),
+    "signature": _Record(4, Signature, (_Field("sigma", "g1"),)),
+    "aggregate-bundle": _Record(5, AggregateBundle, (
+        _Field("groups", "list", _GROUP, 65536),
+        _Field("omega", "omega"),
+    )),
+    "master-secret": _Record(6, MasterSecret, (_Field("kappa", "scalar"),)),
+    "ta-secret": _Record(7, TASecret, (_Field("kappa_i", "scalar"),)),
+}
+_BY_TAG = {rec.tag: name for name, rec in _TYPES.items()}
+_BY_CLASS = {rec.cls: name for name, rec in _TYPES.items()}
+
+
+def _type_name(obj) -> str:
+    if type(obj) not in _BY_CLASS:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return _BY_CLASS[type(obj)]
+
+
+# ---------------------------------------------------------------------------
+# binary envelope
+
+_U32 = struct.Struct(">I")
+
+
+def _pack(engine, rec: _Record, obj) -> bytes:
     out = bytearray()
-    for f in fields:
-        out += struct.pack(">I", len(f))
-        out += f
+    for f, v in zip(rec.fields, rec.values(obj)):
+        if f.kind == "list":
+            out += _U32.pack(len(v))
+            for item in v:
+                out += _pack(engine, f.item, item)
+        elif f.kind == "omega":
+            out += engine.encode_g1(v)
+        else:
+            body = _pack(engine, f.item, v) if f.kind == "record" else _CODECS[f.kind][0](engine, v)
+            out += _U32.pack(len(body)) + body
     return bytes(out)
 
 
-def _unpack_fields(data: bytes, count: int) -> List[bytes]:
-    fields = []
-    off = 0
-    for _ in range(count):
-        if off + 4 > len(data):
-            raise MalformedEnvelope("truncated field header")
-        (n,) = struct.unpack_from(">I", data, off)
-        off += 4
-        if off + n > len(data):
-            raise MalformedEnvelope("truncated field body")
-        fields.append(data[off : off + n])
-        off += n
-    if off != len(data):
+def _take(r: io.BytesIO, n: int) -> bytes:
+    chunk = r.read(n)
+    if len(chunk) != n:
+        raise MalformedEnvelope("truncated envelope")
+    return chunk
+
+
+def _u32(r: io.BytesIO) -> int:
+    return _U32.unpack(_take(r, 4))[0]
+
+
+def _read(engine, rec: _Record, r: io.BytesIO) -> list:
+    """One record's fields from the reader. Plain fields come back as their
+    raw bytes, for _build to decode once the enclosing framing is sound;
+    nested records, lists and omega come back decoded."""
+    raw = []
+    for f in rec.fields:
+        if f.kind == "list":
+            n = _u32(r)
+            if n > f.cap:
+                raise MalformedEnvelope(f"implausible {f.name} count")
+            raw.append(tuple(_build(engine, f.item, _read(engine, f.item, r)) for _ in range(n)))
+        elif f.kind == "record":
+            raw.append(_build(engine, f.item, _split(engine, f.item, _take(r, _u32(r)))))
+        elif f.kind == "omega":
+            raw.append(engine.decode_g1(_take(r, engine.g1_bytes)))
+        else:
+            raw.append(_take(r, _u32(r)))
+    return raw
+
+
+def _split(engine, rec: _Record, data: bytes) -> list:
+    r = io.BytesIO(data)
+    raw = _read(engine, rec, r)
+    if r.read(1):
         raise MalformedEnvelope("trailing bytes after last field")
-    return fields
+    return raw
 
 
-def _frame(type_name: str, body: bytes) -> bytes:
-    return MAGIC + bytes([VERSION, _TYPE_TAGS[type_name]]) + body
+def _build(engine, rec: _Record, raw: list):
+    return rec.make([
+        v if f.kind in ("list", "record", "omega") else _CODECS[f.kind][1](engine, v)
+        for f, v in zip(rec.fields, raw)
+    ])
 
 
-def _unframe(data: bytes, expect: str) -> bytes:
+def _unframe(data: bytes, expect: str) -> Tuple[_Record, bytes]:
     if len(data) < 6 or data[:4] != MAGIC:
         raise MalformedEnvelope("bad magic")
     if data[4] != VERSION:
         raise MalformedEnvelope(f"unsupported version {data[4]}")
-    name = _TAG_NAMES.get(data[5])
+    name = _BY_TAG.get(data[5])
     if name is None:
         raise MalformedEnvelope(f"unknown type tag {data[5]}")
     if name != expect:
         raise MalformedEnvelope(f"expected {expect}, found {name}")
-    return data[6:]
+    return _TYPES[name], data[6:]
 
 
-# ---------------------------------------------------------------------------
-# per-type field lists
+def to_binary(engine, obj) -> bytes:
+    rec = _TYPES[_type_name(obj)]
+    return MAGIC + bytes([VERSION, rec.tag]) + _pack(engine, rec, obj)
 
 
-def _params_fields(engine, p: SystemParams) -> List[bytes]:
-    return [
-        p.backend.encode(),
-        engine.encode_g1(engine.g1),
-        engine.encode_g2(engine.g2),
-        engine.encode_g2(p.y),
-    ]
-
-
-def _params_from_fields(engine, fields: List[bytes]) -> SystemParams:
-    backend = fields[0].decode()
-    if backend != engine.backend:
-        raise MalformedEnvelope(f"params are for backend {backend!r}, engine is {engine.backend!r}")
-    if engine.decode_g1(fields[1]) != engine.g1 or engine.decode_g2(fields[2]) != engine.g2:
-        raise MalformedEnvelope("generator mismatch")
-    return SystemParams(backend=backend, y=engine.decode_g2(fields[3]))
-
-
-def _ta_fields(engine, t: TARecord) -> List[bytes]:
-    return [t.ta_identity, engine.encode_g2(t.y_i), engine.encode_g1(t.cert)]
-
-
-def _ta_from_fields(engine, fields: List[bytes]) -> TARecord:
-    if not fields[0]:
-        raise MalformedEnvelope("empty authority identity")
-    return TARecord(
-        ta_identity=bytes(fields[0]),
-        y_i=engine.decode_g2(fields[1]),
-        cert=engine.decode_g1(fields[2]),
-    )
-
-
-def _key_fields(engine, k: SignerKey) -> List[bytes]:
-    return [k.signer_id, k.ta_fingerprint, engine.encode_g1(k.s0), engine.encode_g1(k.s1)]
-
-
-def _key_owner(signer_id: bytes, ta_fingerprint: bytes) -> Tuple[bytes, bytes]:
-    if not signer_id:
-        raise MalformedEnvelope("empty signer identity")
-    if len(ta_fingerprint) != 32:
-        raise MalformedEnvelope("authority fingerprint must be 32 bytes")
-    return bytes(signer_id), bytes(ta_fingerprint)
-
-
-def _key_from_fields(engine, fields: List[bytes]) -> SignerKey:
-    signer_id, ta_fingerprint = _key_owner(fields[0], fields[1])
-    return SignerKey(
-        signer_id=signer_id,
-        ta_fingerprint=ta_fingerprint,
-        s0=engine.decode_g1(fields[2]),
-        s1=engine.decode_g1(fields[3]),
-    )
+def from_binary(engine, data: bytes, expect: str):
+    rec, body = _unframe(data, expect)
+    return _build(engine, rec, _split(engine, rec, body))
 
 
 def signer_key_owner(data: bytes) -> Tuple[bytes, bytes]:
     """Check the framing of a binary signer-key envelope and return its
     (signer_id, ta_fingerprint), leaving the two G1 components undecoded."""
-    return _key_owner(*_unpack_fields(_unframe(data, "signer-key"), 4)[:2])
-
-
-def _sig_fields(engine, s: Signature) -> List[bytes]:
-    return [engine.encode_g1(s.sigma)]
-
-
-def _sig_from_fields(engine, fields: List[bytes]) -> Signature:
-    return Signature(sigma=engine.decode_g1(fields[0]))
-
-
-def _bundle_body(engine, b: AggregateBundle) -> bytes:
-    out = bytearray(struct.pack(">I", len(b.groups)))
-    for ta, signers in b.groups:
-        ta_bytes = _pack_fields(_ta_fields(engine, ta))
-        out += struct.pack(">I", len(ta_bytes))
-        out += ta_bytes
-        out += struct.pack(">I", len(signers))
-        for ident, message in signers:
-            out += _pack_fields([ident, message])
-    out += engine.encode_g1(b.omega)
-    return bytes(out)
-
-
-def _bundle_from_body(engine, data: bytes) -> AggregateBundle:
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(data):
-            raise MalformedEnvelope("truncated bundle")
-        chunk = data[off : off + n]
-        off += n
-        return chunk
-
-    def take_u32():
-        return struct.unpack(">I", take(4))[0]
-
-    n_groups = take_u32()
-    if n_groups > 65536:
-        raise MalformedEnvelope("implausible group count")
-    groups = []
-    for _ in range(n_groups):
-        ta = _ta_from_fields(engine, _unpack_fields(take(take_u32()), 3))
-        n_signers = take_u32()
-        if n_signers > 1 << 20:
-            raise MalformedEnvelope("implausible signer count")
-        signers = []
-        for _ in range(n_signers):
-            ident_len = take_u32()
-            ident = take(ident_len)
-            msg_len = take_u32()
-            message = take(msg_len)
-            signers.append((bytes(ident), bytes(message)))
-        groups.append((ta, tuple(signers)))
-    omega = engine.decode_g1(take(engine.g1_bytes))
-    if off != len(data):
-        raise MalformedEnvelope("trailing bytes after bundle")
-    return AggregateBundle(groups=tuple(groups), omega=omega)
-
-
-# ---------------------------------------------------------------------------
-# public binary API
-
-
-def to_binary(engine, obj) -> bytes:
-    if isinstance(obj, SystemParams):
-        return _frame("system-params", _pack_fields(_params_fields(engine, obj)))
-    if isinstance(obj, MasterSecret):
-        return _frame("master-secret", _pack_fields([engine.encode_scalar(obj.kappa)]))
-    if isinstance(obj, TASecret):
-        return _frame("ta-secret", _pack_fields([engine.encode_scalar(obj.kappa_i)]))
-    if isinstance(obj, TARecord):
-        return _frame("ta-record", _pack_fields(_ta_fields(engine, obj)))
-    if isinstance(obj, SignerKey):
-        return _frame("signer-key", _pack_fields(_key_fields(engine, obj)))
-    if isinstance(obj, Signature):
-        return _frame("signature", _pack_fields(_sig_fields(engine, obj)))
-    if isinstance(obj, AggregateBundle):
-        return _frame("aggregate-bundle", _bundle_body(engine, obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def from_binary(engine, data: bytes, expect: str):
-    body = _unframe(data, expect)
-    try:
-        if expect == "system-params":
-            return _params_from_fields(engine, _unpack_fields(body, 4))
-        if expect == "master-secret":
-            return MasterSecret(engine.decode_scalar(_unpack_fields(body, 1)[0]))
-        if expect == "ta-secret":
-            return TASecret(engine.decode_scalar(_unpack_fields(body, 1)[0]))
-        if expect == "ta-record":
-            return _ta_from_fields(engine, _unpack_fields(body, 3))
-        if expect == "signer-key":
-            return _key_from_fields(engine, _unpack_fields(body, 4))
-        if expect == "signature":
-            return _sig_from_fields(engine, _unpack_fields(body, 1))
-        if expect == "aggregate-bundle":
-            return _bundle_from_body(engine, body)
-    except struct.error as exc:
-        raise MalformedEnvelope(str(exc)) from exc
-    raise ValueError(f"unknown envelope type {expect!r}")
+    rec, body = _unframe(data, "signer-key")
+    raw = _split(None, rec, body)
+    return tuple(_CODECS[f.kind][1](None, v) for f, v in zip(rec.fields[:2], raw))
 
 
 # ---------------------------------------------------------------------------
 # JSON envelope
 
-
-def _hex(b: bytes) -> str:
-    return b.hex()
+_JSON_NAMES = {dict: "object", list: "list", str: "string", int: "integer"}
 
 
-def to_json_obj(engine, obj) -> dict:
-    if isinstance(obj, SystemParams):
-        type_name, fields = "system-params", {
-            "backend": obj.backend,
-            "g1": _hex(engine.encode_g1(engine.g1)),
-            "g2": _hex(engine.encode_g2(engine.g2)),
-            "y": _hex(engine.encode_g2(obj.y)),
-        }
-    elif isinstance(obj, MasterSecret):
-        type_name, fields = "master-secret", {"kappa": _hex(engine.encode_scalar(obj.kappa))}
-    elif isinstance(obj, TASecret):
-        type_name, fields = "ta-secret", {"kappa_i": _hex(engine.encode_scalar(obj.kappa_i))}
-    elif isinstance(obj, TARecord):
-        type_name, fields = "ta-record", {
-            "ta_identity": _hex(obj.ta_identity),
-            "y_i": _hex(engine.encode_g2(obj.y_i)),
-            "cert": _hex(engine.encode_g1(obj.cert)),
-        }
-    elif isinstance(obj, SignerKey):
-        type_name, fields = "signer-key", {
-            "signer_id": _hex(obj.signer_id),
-            "ta_fingerprint": _hex(obj.ta_fingerprint),
-            "s0": _hex(engine.encode_g1(obj.s0)),
-            "s1": _hex(engine.encode_g1(obj.s1)),
-        }
-    elif isinstance(obj, Signature):
-        type_name, fields = "signature", {"sigma": _hex(engine.encode_g1(obj.sigma))}
-    elif isinstance(obj, AggregateBundle):
-        type_name = "aggregate-bundle"
-        fields = {
-            "groups": [
-                {
-                    "ta_record": to_json_obj(engine, ta)["fields"],
-                    "signers": [
-                        {"identity": _hex(i), "message": _hex(m)} for i, m in signers
-                    ],
-                }
-                for ta, signers in obj.groups
-            ],
-            "omega": _hex(engine.encode_g1(obj.omega)),
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return {"format": "MTAO", "version": VERSION, "type": type_name, "fields": fields}
+def _expect(node, typ: type, what: str):
+    if not isinstance(node, typ):
+        raise MalformedEnvelope(f"{what} must be a JSON {_JSON_NAMES[typ]}")
+    return node
 
 
-def _require(d: dict, key: str):
-    if key not in d:
-        raise MalformedEnvelope(f"missing field {key!r}")
-    return d[key]
+def member(node, key: str, typ: type, what: str):
+    """``node[key]``, where ``node`` must be a JSON object (named ``what`` in
+    errors) and the member a ``typ``; otherwise MalformedEnvelope."""
+    node = _expect(node, dict, what)
+    if key not in node:
+        raise MalformedEnvelope(f"{what}: missing field {key!r}")
+    return _expect(node[key], typ, f"{what}: {key!r}")
 
 
-def _unhex(s) -> bytes:
-    if not isinstance(s, str):
-        raise MalformedEnvelope("hex field must be a string")
+def _unhex(s: str) -> bytes:
     try:
         return bytes.fromhex(s)
     except ValueError as exc:
         raise MalformedEnvelope(f"bad hex: {exc}") from exc
 
 
+def _to_json(engine, rec: _Record, obj) -> dict:
+    out = {}
+    for f, v in zip(rec.fields, rec.values(obj)):
+        if f.kind == "record":
+            out[f.name] = _to_json(engine, f.item, v)
+        elif f.kind == "list":
+            out[f.name] = [_to_json(engine, f.item, item) for item in v]
+        elif f.kind == "backend":
+            out[f.name] = v
+        else:
+            out[f.name] = _CODECS[f.kind][0](engine, v).hex()
+    return out
+
+
+def _from_json(engine, rec: _Record, node, what: str):
+    values = []
+    for f in rec.fields:
+        if f.kind == "record":
+            v = _from_json(engine, f.item, member(node, f.name, dict, what), f.name)
+        elif f.kind == "list":
+            items = member(node, f.name, list, what)
+            v = tuple(_from_json(engine, f.item, item, f.name) for item in items)
+        elif f.kind == "backend":
+            v = _backend(engine, member(node, f.name, str, what))
+        else:
+            v = _CODECS[f.kind][1](engine, _unhex(member(node, f.name, str, what)))
+        values.append(v)
+    return rec.make(values)
+
+
+def to_json_obj(engine, obj) -> dict:
+    name = _type_name(obj)
+    return {"format": "MTAO", "version": VERSION, "type": name, "fields": _to_json(engine, _TYPES[name], obj)}
+
+
 def from_json_obj(engine, doc: dict, expect: str):
-    if not isinstance(doc, dict):
-        raise MalformedEnvelope("envelope must be a JSON object")
+    _expect(doc, dict, "envelope")
     if doc.get("format") != "MTAO":
         raise MalformedEnvelope("bad format marker")
     if doc.get("version") != VERSION:
         raise MalformedEnvelope("unsupported version")
     if doc.get("type") != expect:
         raise MalformedEnvelope(f"expected {expect}, found {doc.get('type')!r}")
-    f = _require(doc, "fields")
-    if expect == "system-params":
-        backend = _require(f, "backend")
-        if backend != engine.backend:
-            raise MalformedEnvelope(f"params are for backend {backend!r}, engine is {engine.backend!r}")
-        if engine.decode_g1(_unhex(_require(f, "g1"))) != engine.g1:
-            raise MalformedEnvelope("generator mismatch")
-        if engine.decode_g2(_unhex(_require(f, "g2"))) != engine.g2:
-            raise MalformedEnvelope("generator mismatch")
-        return SystemParams(backend=backend, y=engine.decode_g2(_unhex(_require(f, "y"))))
-    if expect == "master-secret":
-        return MasterSecret(engine.decode_scalar(_unhex(_require(f, "kappa"))))
-    if expect == "ta-secret":
-        return TASecret(engine.decode_scalar(_unhex(_require(f, "kappa_i"))))
-    if expect == "ta-record":
-        return _ta_json(engine, f)
-    if expect == "signer-key":
-        ident, fp = _key_owner(
-            _unhex(_require(f, "signer_id")), _unhex(_require(f, "ta_fingerprint"))
-        )
-        return SignerKey(
-            signer_id=ident,
-            ta_fingerprint=fp,
-            s0=engine.decode_g1(_unhex(_require(f, "s0"))),
-            s1=engine.decode_g1(_unhex(_require(f, "s1"))),
-        )
-    if expect == "signature":
-        return Signature(sigma=engine.decode_g1(_unhex(_require(f, "sigma"))))
-    if expect == "aggregate-bundle":
-        groups = []
-        raw_groups = _require(f, "groups")
-        if not isinstance(raw_groups, list):
-            raise MalformedEnvelope("groups must be a list")
-        for g in raw_groups:
-            ta = _ta_json(engine, _require(g, "ta_record"))
-            signers = []
-            for s in _require(g, "signers"):
-                signers.append((_unhex(_require(s, "identity")), _unhex(_require(s, "message"))))
-            groups.append((ta, tuple(signers)))
-        return AggregateBundle(groups=tuple(groups), omega=engine.decode_g1(_unhex(_require(f, "omega"))))
-    raise ValueError(f"unknown envelope type {expect!r}")
-
-
-def _ta_json(engine, f: dict) -> TARecord:
-    ident = _unhex(_require(f, "ta_identity"))
-    if not ident:
-        raise MalformedEnvelope("empty authority identity")
-    return TARecord(
-        ta_identity=ident,
-        y_i=engine.decode_g2(_unhex(_require(f, "y_i"))),
-        cert=engine.decode_g1(_unhex(_require(f, "cert"))),
-    )
+    fields = member(doc, "fields", dict, "envelope")
+    if expect not in _TYPES:
+        raise ValueError(f"unknown envelope type {expect!r}")
+    return _from_json(engine, _TYPES[expect], fields, "fields")
 
 
 # ---------------------------------------------------------------------------
