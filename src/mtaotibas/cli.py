@@ -17,20 +17,7 @@ from typing import Optional
 import click
 
 from . import envelopes, keystore, scheme
-from .errors import (
-    CorruptJournal,
-    DuplicateKey,
-    EmptyInput,
-    InvalidElement,
-    KeyAlreadyUsed,
-    KeyMismatch,
-    KeyNotFound,
-    MalformedEnvelope,
-    MtaError,
-    StoreLocked,
-    UnknownCertificate,
-    UnsupportedOperation,
-)
+from .errors import KeyAlreadyUsed, MalformedEnvelope, MtaError
 from .pairing import get_engine, load_vector_table
 
 EXIT_VALID = 0
@@ -67,24 +54,7 @@ def cli_errors(fn):
             return fn(*args, **kwargs)
         except KeyAlreadyUsed as exc:
             _fail(EXIT_ONE_TIME, str(exc))
-        except (
-            MalformedEnvelope,
-            InvalidElement,
-            CorruptJournal,
-            StoreLocked,
-            DuplicateKey,
-            KeyNotFound,
-            KeyMismatch,
-            UnknownCertificate,
-            UnsupportedOperation,
-            EmptyInput,
-            MtaError,
-            OSError,
-            json.JSONDecodeError,
-            UnicodeDecodeError,
-            ValueError,
-            KeyError,
-        ) as exc:
+        except (MtaError, OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
             _fail(EXIT_MALFORMED, str(exc))
 
     return wrapper
@@ -205,6 +175,21 @@ def cmd_sign(obj, store_path, entry_id, record_path, message_file, out_path):
     })
 
 
+def _read_layout(path):
+    """The layout file as [(ta_record path, [(signer_id, message_file)])]."""
+    with open(path, "r", encoding="utf-8") as fh:
+        layout = json.load(fh)
+    groups = []
+    for g in envelopes.member(layout, "groups", list, "layout"):
+        signers = [
+            (envelopes.member(s, "signer_id", str, "layout signer"),
+             envelopes.member(s, "message_file", str, "layout signer"))
+            for s in envelopes.member(g, "signers", list, "layout group")
+        ]
+        groups.append((envelopes.member(g, "ta_record", str, "layout group"), signers))
+    return groups
+
+
 @main.command("aggregate")
 @click.option("--layout", "layout_path", type=click.Path(exists=True, dir_okay=False), required=True,
               help="JSON file declaring the authority grouping.")
@@ -219,25 +204,22 @@ def cmd_aggregate(obj, layout_path, out_path, signature_files):
     files are consumed positionally in the layout's flattened signer order.
     """
     engine = obj.engine
-    with open(layout_path, "r", encoding="utf-8") as fh:
-        layout = json.load(fh)
-    raw_groups = layout["groups"]
-    total = sum(len(g["signers"]) for g in raw_groups)
+    layout = _read_layout(layout_path)
+    total = sum(len(signers) for _, signers in layout)
     if len(signature_files) != total:
         raise click.UsageError(
             f"layout names {total} signers but {len(signature_files)} signature files given"
         )
     sig_iter = iter(signature_files)
     groups, signatures = [], []
-    for g in raw_groups:
-        record = envelopes.load_json(g["ta_record"], engine, "ta-record")
+    for record_path, layout_signers in layout:
+        record = envelopes.load_json(record_path, engine, "ta-record")
         signers = []
-        for s in g["signers"]:
-            ident = s["signer_id"].encode()
-            with open(s["message_file"], "rb") as fh:
+        for signer_id, message_file in layout_signers:
+            with open(message_file, "rb") as fh:
                 message = fh.read()
             signatures.append(envelopes.load_json(next(sig_iter), engine, "signature"))
-            signers.append((ident, message))
+            signers.append((signer_id.encode(), message))
         groups.append((record, signers))
     omega = scheme.aggregate(engine, signatures)
     bundle = scheme.AggregateBundle.build(groups, omega)
@@ -293,7 +275,7 @@ def harness():
 @cli_errors
 def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcript):
     """Replay a JSON workload script against a fresh challenger."""
-    from .harness import Challenger, CoCDHInstance, optimal_delta, run_workload
+    from .harness import Challenger, CoCDHInstance, op_kind, optimal_delta, run_workload
 
     engine = obj.engine
     with open(workload_path, "r", encoding="utf-8") as fh:
@@ -302,10 +284,8 @@ def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcr
         raise MalformedEnvelope("workload must be a JSON list of operations")
     rng = obj.rng()
     if delta is None:
-        q_c = sum(1 for o in ops if o.get("op") == "corrupt")
-        q_e = sum(1 for o in ops if o.get("op") == "extract")
-        q_s = sum(1 for o in ops if o.get("op") == "sign")
-        delta = optimal_delta(q_c, q_e, q_s, 0)
+        kinds = [op_kind(op) for op in ops]
+        delta = optimal_delta(kinds.count("corrupt"), kinds.count("extract"), kinds.count("sign"), 0)
     if planted_a is not None and planted_b is not None:
         instance = CoCDHInstance(engine.g1 ** planted_a, engine.g2 ** planted_b,
                                  planted_a, planted_b)

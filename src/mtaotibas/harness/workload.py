@@ -12,13 +12,26 @@ A workload is a list of operations with symbolic names, e.g.::
 Names are encoded as UTF-8 bytes. An ``h1`` op requires its authority to
 have been set up earlier in the script (the oracle enforces that
 ordering); corrupt/extract/sign set authorities up internally, matching
-the game's bookkeeping, where only the adversary's own queries count.
+the game's bookkeeping, where only the adversary's own queries count. An
+operation that is not an object, or whose members are missing or of the
+wrong JSON type, raises MalformedEnvelope.
 """
 
 from typing import List, Optional
 
-from ..errors import ReductionAbort, UnknownCertificate
+from ..envelopes import member
+from ..errors import MalformedEnvelope, ReductionAbort, UnknownCertificate
 from .challenger import Challenger
+
+
+def op_kind(op) -> str:
+    """The name of a workload operation; MalformedEnvelope unless ``op`` is a
+    JSON object with a string ``"op"``."""
+    return member(op, "op", str, "workload operation")
+
+
+def _name(op, key: str) -> bytes:
+    return member(op, key, str, "workload operation").encode()
 
 
 def run_workload(ch: Challenger, ops: List[dict]) -> dict:
@@ -31,26 +44,28 @@ def run_workload(ch: Challenger, ops: List[dict]) -> dict:
     abort_site: Optional[str] = None
     abort_detail = ""
     for op in ops:
-        kind = op.get("op")
+        kind = op_kind(op)
         try:
             if kind == "h0":
-                ch.oracle_h0(op["id"].encode(), int(op.get("bit", 0)))
+                bit = op.get("bit", 0)
+                if not isinstance(bit, int):
+                    raise MalformedEnvelope("workload h0 operation: 'bit' must be a JSON integer")
+                ch.oracle_h0(_name(op, "id"), bit)
             elif kind == "h1":
-                ta = ch.ta_list.get(op["ta"].encode())
+                ta = ch.ta_list.get(_name(op, "ta"))
                 if ta is None:
                     raise UnknownCertificate(
                         f"workload queried h1 for authority {op['ta']!r} before setting it up"
                     )
-                ch.oracle_h1(op["id"].encode(), op["message"].encode(),
-                             ta.record.cert_bytes(ch.engine))
+                ch.oracle_h1(_name(op, "id"), _name(op, "message"), ta.record.cert_bytes(ch.engine))
             elif kind == "lowerlevel_setup":
-                ch.oracle_lowerlevel_setup(op["ta"].encode())
+                ch.oracle_lowerlevel_setup(_name(op, "ta"))
             elif kind == "corrupt":
-                ch.oracle_corrupt(op["ta"].encode())
+                ch.oracle_corrupt(_name(op, "ta"))
             elif kind == "extract":
-                ch.oracle_extract(op["id"].encode(), op["ta"].encode())
+                ch.oracle_extract(_name(op, "id"), _name(op, "ta"))
             elif kind == "sign":
-                ch.oracle_sign(op["id"].encode(), op["message"].encode(), op["ta"].encode())
+                ch.oracle_sign(_name(op, "id"), _name(op, "message"), _name(op, "ta"))
             else:
                 raise ValueError(f"unknown workload op {kind!r}")
         except ReductionAbort as abort:

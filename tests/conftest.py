@@ -113,6 +113,19 @@ def fixed_scenario(pinned_engine):
 
 CLI_MOCK_ARGS = ["--backend", "mock", "--insecure-mock", "--mock-table", "vectors.txt"]
 
+# the aggregation layout of the pinned scenario, as prepare_cli_dir writes it
+CLI_LAYOUT = {
+    "groups": [
+        {"ta_record": "ta1.json", "signers": [
+            {"signer_id": "ID-A", "message_file": "m1.bin"},
+            {"signer_id": "ID-B", "message_file": "m2.bin"},
+        ]},
+        {"ta_record": "ta2.json", "signers": [
+            {"signer_id": "ID-C", "message_file": "m3.bin"},
+        ]},
+    ]
+}
+
 
 def prepare_cli_dir(tmp_path):
     """Drop the pinned vector table, message files and aggregation layout
@@ -125,17 +138,7 @@ def prepare_cli_dir(tmp_path):
     shutil.copy(data / "mock_vectors.txt", tmp_path / "vectors.txt")
     for i in (1, 2, 3):
         (tmp_path / f"m{i}.bin").write_bytes(f"message-{i}".encode())
-    (tmp_path / "layout.json").write_text(json.dumps({
-        "groups": [
-            {"ta_record": "ta1.json", "signers": [
-                {"signer_id": "ID-A", "message_file": "m1.bin"},
-                {"signer_id": "ID-B", "message_file": "m2.bin"},
-            ]},
-            {"ta_record": "ta2.json", "signers": [
-                {"signer_id": "ID-C", "message_file": "m3.bin"},
-            ]},
-        ]
-    }))
+    (tmp_path / "layout.json").write_text(json.dumps(CLI_LAYOUT))
 
 
 def cli_lifecycle_steps():

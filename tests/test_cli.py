@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +12,16 @@ from click.testing import CliRunner
 import mtaotibas
 from mtaotibas.cli import main
 
+from conftest import CLI_LAYOUT
 from conftest import CLI_MOCK_ARGS as MOCK
 from conftest import cli_lifecycle_steps, prepare_cli_dir
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_cli.json").read_text())
+ENVELOPES = {
+    name: json.loads(vector["json"])
+    for name, vector in json.loads((DATA / "golden_envelopes.json").read_text())["mock"].items()
+}
 
 
 def run(runner, args, **kw):
@@ -221,3 +228,93 @@ def test_harness_monte_carlo_small(workdir):
     assert result.exit_code == 0
     rep = json.loads(result.output)
     assert rep["passes"] is True
+
+
+# -- wrongly typed JSON --------------------------------------------------------
+
+_WORKLOAD = [
+    {"op": "lowerlevel_setup", "ta": "T1"},
+    {"op": "h0", "id": "alice", "bit": 0},
+    {"op": "h1", "id": "alice", "message": "m", "ta": "T1"},
+]
+_VERIFY = ["verify", "--params", "params.json", "--bundle", "bundle.json"]
+_AGGREGATE = ["aggregate", "--layout", "layout.json", "--out", "b.json",
+              "s1.json", "s2.json", "s3.json"]
+# each input file of the pinned scenario, with its document and a command
+# that reads it; the envelopes are the committed mock vectors, which the
+# lifecycle reproduces
+_JSON_INPUTS = {
+    "bundle.json": (ENVELOPES["aggregate-bundle"], _VERIFY),
+    "params.json": (ENVELOPES["system-params"], _VERIFY),
+    "ta1.json": (ENVELOPES["ta-record"], [
+        "extract", "--ta-secret", "ta1-secret.json", "--ta-record", "ta1.json",
+        "--signer-id", "ID-NEW", "--store", "keys.journal"]),
+    "s1.json": (ENVELOPES["signature"], _AGGREGATE),
+    "layout.json": (CLI_LAYOUT, _AGGREGATE),
+    "workload.json": (_WORKLOAD, ["--seed", "5", "harness", "run", "--workload", "workload.json"]),
+}
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, child in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _nodes(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _wrong_type_cases():
+    # a value of the node's own JSON type is skipped: it is no type error
+    # (an empty list of groups is a well-formed bundle that fails to verify)
+    for name, (doc, _) in _JSON_INPUTS.items():
+        for path, node in _nodes(doc):
+            for wrong in (1, "x", [], {}, None):
+                if type(wrong) is not type(node):
+                    node_id = "/".join(map(str, path)) or "root"
+                    yield pytest.param(name, path, wrong, id=f"{name}:{node_id}={json.dumps(wrong)}")
+
+
+@pytest.fixture(scope="module")
+def lifecycle_dir(tmp_path_factory):
+    """A directory holding every file of the pinned scenario plus a workload."""
+    d = tmp_path_factory.mktemp("lifecycle")
+    prepare_cli_dir(d)
+    (d / "workload.json").write_text(json.dumps(_WORKLOAD))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(d)
+        drive_lifecycle(CliRunner())
+    return d
+
+
+def _invoke_with(lifecycle_dir, tmp_path, monkeypatch, name, doc):
+    shutil.copytree(lifecycle_dir, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(json.dumps(doc))
+    return CliRunner().invoke(main, MOCK + _JSON_INPUTS[name][1])
+
+
+@pytest.mark.parametrize("name", list(_JSON_INPUTS))
+def test_json_inputs_accepted_unchanged(lifecycle_dir, tmp_path, monkeypatch, name):
+    doc = _JSON_INPUTS[name][0]
+    assert json.loads((lifecycle_dir / name).read_text()) == doc
+    result = _invoke_with(lifecycle_dir, tmp_path, monkeypatch, name, doc)
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("name,path,wrong", list(_wrong_type_cases()))
+def test_wrongly_typed_json_exits_2(lifecycle_dir, tmp_path, monkeypatch, name, path, wrong):
+    doc = _replaced(_JSON_INPUTS[name][0], path, wrong)
+    result = _invoke_with(lifecycle_dir, tmp_path, monkeypatch, name, doc)
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.stderr.lower()
+    assert isinstance(result.exception, SystemExit)  # no traceback escaped
