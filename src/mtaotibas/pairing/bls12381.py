@@ -790,24 +790,6 @@ def encode_gt_value(f) -> bytes:
     return bytes(out)
 
 
-def decode_gt_value(data: bytes):
-    if len(data) != 576:
-        raise InvalidElement("GT encodings are 576 bytes")
-    vals = []
-    for i in range(12):
-        v = int.from_bytes(data[48 * i : 48 * (i + 1)], "big")
-        if v >= PRIME:
-            raise InvalidElement("GT coordinate out of range")
-        vals.append(mpz(v))
-    f = (
-        ((vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5])),
-        ((vals[6], vals[7]), (vals[8], vals[9]), (vals[10], vals[11])),
-    )
-    if fq12_pow(f, ORDER) != FQ12_ONE:
-        raise InvalidElement("GT value outside the prime-order subgroup")
-    return f
-
-
 # ---------------------------------------------------------------------------
 # Element wrappers and the engine
 
@@ -917,7 +899,6 @@ class Bls12381Engine:
     scalar_bytes = 32
     g1_bytes = 48
     g2_bytes = 96
-    gt_bytes = 576
 
     def __init__(self, hash_cache: int = 8192):
         self.g1 = G1Point((_G1X, _G1Y))
@@ -1005,11 +986,3 @@ class Bls12381Engine:
 
     def decode_g2(self, data: bytes) -> G2Point:
         return G2Point(decode_g2_point(data))
-
-    def encode_gt(self, e: GTElement) -> bytes:
-        if type(e) is not GTElement:
-            raise InvalidElement("not a GT element")
-        return encode_gt_value(e.f)
-
-    def decode_gt(self, data: bytes) -> GTElement:
-        return GTElement(decode_gt_value(data))

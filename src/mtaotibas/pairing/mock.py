@@ -106,7 +106,6 @@ class MockEngine:
     scalar_bytes = 2
     g1_bytes = 2
     g2_bytes = 2
-    gt_bytes = 2
 
     def __init__(self, table: Optional[dict] = None):
         self.g1 = MockG1(1)
@@ -215,14 +214,6 @@ class MockEngine:
 
     def decode_g2(self, data: bytes) -> MockG2:
         return MockG2(self._decode_value(data))
-
-    def encode_gt(self, e: MockGT) -> bytes:
-        if type(e) is not MockGT:
-            raise InvalidElement("not a GT element")
-        return self._encode_element(e)
-
-    def decode_gt(self, data: bytes) -> MockGT:
-        return MockGT(self._decode_value(data))
 
     # -- test-oracle helpers -------------------------------------------------
 

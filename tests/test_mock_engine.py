@@ -145,8 +145,6 @@ def test_element_encoding_round_trip(mock_engine):
     for v in (0, 1, 42, Q - 1):
         assert e.decode_g1(e.encode_g1(e.element_g1(v))) == e.element_g1(v)
         assert e.decode_g2(e.encode_g2(e.element_g2(v))) == e.element_g2(v)
-    gt = e.pair(e.g1 ** 3, e.g2 ** 4)
-    assert e.decode_gt(e.encode_gt(gt)) == gt
     with pytest.raises(InvalidElement):
         e.decode_g1(b"\x04\x00")  # 1024 >= q
 
