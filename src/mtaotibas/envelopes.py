@@ -229,7 +229,7 @@ def signer_key_owner(data: bytes) -> Tuple[bytes, bytes]:
 # ---------------------------------------------------------------------------
 # JSON envelope
 
-_JSON_NAMES = {dict: "object", list: "list", str: "string", int: "integer"}
+_JSON_NAMES = {dict: "object", list: "list", str: "string"}
 
 
 def _expect(node, typ: type, what: str):
@@ -241,10 +241,11 @@ def _expect(node, typ: type, what: str):
 def member(node, key: str, typ: type, what: str):
     """``node[key]``, where ``node`` must be a JSON object (named ``what`` in
     errors) and the member a ``typ``; otherwise MalformedEnvelope."""
-    node = _expect(node, dict, what)
-    if key not in node:
+    if key not in _expect(node, dict, what):
         raise MalformedEnvelope(f"{what}: missing field {key!r}")
-    return _expect(node[key], typ, f"{what}: {key!r}")
+    if not isinstance(node[key], typ):
+        raise MalformedEnvelope(f"{what}: {key!r} must be a JSON {_JSON_NAMES[typ]}")
+    return node[key]
 
 
 def _unhex(s: str) -> bytes:
@@ -274,8 +275,7 @@ def _from_json(engine, rec: _Record, node, what: str):
         if f.kind == "record":
             v = _from_json(engine, f.item, member(node, f.name, dict, what), f.name)
         elif f.kind == "list":
-            items = member(node, f.name, list, what)
-            v = tuple(_from_json(engine, f.item, item, f.name) for item in items)
+            v = tuple(_from_json(engine, f.item, x, f.name) for x in member(node, f.name, list, what))
         elif f.kind == "backend":
             v = _backend(engine, member(node, f.name, str, what))
         else:
