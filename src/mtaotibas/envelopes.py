@@ -13,9 +13,10 @@ envelopes round-trip bit-exactly:
   string and every other field as lowercase fixed-width hex.
 
 Decoding validates group elements against the engine (subgroup membership
-included), so a successfully decoded object is safe to compute with. Any
-other malformed input, a wrongly typed JSON node included, raises
-MalformedEnvelope.
+included), so a successfully decoded object is safe to compute with. Other
+malformed input, a wrongly typed JSON node included, raises
+MalformedEnvelope; a binary backend name that is not UTF-8 raises
+UnicodeDecodeError.
 """
 
 import io
@@ -156,33 +157,31 @@ def _take(r: io.BytesIO, n: int) -> bytes:
     return chunk
 
 
-def _u32(r: io.BytesIO) -> int:
-    return _U32.unpack(_take(r, 4))[0]
-
-
 def _read(engine, rec: _Record, r: io.BytesIO) -> list:
-    """One record's fields from the reader. Plain fields come back as their
-    raw bytes, for _build to decode once the enclosing framing is sound;
-    nested records, lists and omega come back decoded."""
+    """One record's fields. Plain fields stay raw bytes until _build, once the
+    framing around them is checked; nested records, lists and omega decode here."""
     raw = []
     for f in rec.fields:
         if f.kind == "list":
-            n = _u32(r)
+            (n,) = _U32.unpack(r.read(4))
             if n > f.cap:
                 raise MalformedEnvelope(f"implausible {f.name} count")
             raw.append(tuple(_build(engine, f.item, _read(engine, f.item, r)) for _ in range(n)))
         elif f.kind == "record":
-            raw.append(_build(engine, f.item, _split(engine, f.item, _take(r, _u32(r)))))
+            raw.append(_build(engine, f.item, _split(engine, f.item, _take(r, *_U32.unpack(r.read(4))))))
         elif f.kind == "omega":
             raw.append(engine.decode_g1(_take(r, engine.g1_bytes)))
         else:
-            raw.append(_take(r, _u32(r)))
+            raw.append(_take(r, *_U32.unpack(r.read(4))))
     return raw
 
 
 def _split(engine, rec: _Record, data: bytes) -> list:
     r = io.BytesIO(data)
-    raw = _read(engine, rec, r)
+    try:
+        raw = _read(engine, rec, r)
+    except struct.error as exc:  # a length or count cut short
+        raise MalformedEnvelope("truncated envelope") from exc
     if r.read(1):
         raise MalformedEnvelope("trailing bytes after last field")
     return raw
