@@ -17,7 +17,7 @@ from typing import Optional
 import click
 
 from . import envelopes, keystore, scheme
-from .errors import KeyAlreadyUsed, MalformedEnvelope, MtaError
+from .errors import KeyAlreadyUsed, MtaError
 from .pairing import get_engine, load_vector_table
 
 EXIT_VALID = 0
@@ -275,17 +275,17 @@ def harness():
 @cli_errors
 def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcript):
     """Replay a JSON workload script against a fresh challenger."""
-    from .harness import Challenger, CoCDHInstance, op_kind, optimal_delta, run_workload
+    from .harness import Challenger, CoCDHInstance, check_workload, optimal_delta, run_workload
 
     engine = obj.engine
     with open(workload_path, "r", encoding="utf-8") as fh:
-        ops = json.load(fh)
-    if not isinstance(ops, list):
-        raise MalformedEnvelope("workload must be a JSON list of operations")
+        ops = check_workload(json.load(fh))
     rng = obj.rng()
     if delta is None:
-        kinds = [op_kind(op) for op in ops]
-        delta = optimal_delta(kinds.count("corrupt"), kinds.count("extract"), kinds.count("sign"), 0)
+        q_c = sum(1 for o in ops if o.get("op") == "corrupt")
+        q_e = sum(1 for o in ops if o.get("op") == "extract")
+        q_s = sum(1 for o in ops if o.get("op") == "sign")
+        delta = optimal_delta(q_c, q_e, q_s, 0)
     if planted_a is not None and planted_b is not None:
         instance = CoCDHInstance(engine.g1 ** planted_a, engine.g2 ** planted_b,
                                  planted_a, planted_b)

@@ -5,14 +5,14 @@ probability bound."""
 from .bounds import bound_check, monte_carlo_abort, optimal_delta
 from .challenger import Challenger, CoCDHInstance
 from .forger import Forgery, scripted_forger
-from .workload import abort_workload, op_kind, run_workload
+from .workload import abort_workload, check_workload, run_workload
 
 __all__ = [
     "Challenger",
     "CoCDHInstance",
     "Forgery",
     "scripted_forger",
-    "op_kind",
+    "check_workload",
     "run_workload",
     "abort_workload",
     "bound_check",

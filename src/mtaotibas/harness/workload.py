@@ -12,9 +12,7 @@ A workload is a list of operations with symbolic names, e.g.::
 Names are encoded as UTF-8 bytes. An ``h1`` op requires its authority to
 have been set up earlier in the script (the oracle enforces that
 ordering); corrupt/extract/sign set authorities up internally, matching
-the game's bookkeeping, where only the adversary's own queries count. An
-operation that is not an object, or whose members are missing or of the
-wrong JSON type, raises MalformedEnvelope.
+the game's bookkeeping, where only the adversary's own queries count.
 """
 
 from typing import List, Optional
@@ -23,19 +21,36 @@ from ..envelopes import member
 from ..errors import MalformedEnvelope, ReductionAbort, UnknownCertificate
 from .challenger import Challenger
 
+# the string members each operation names
+_MEMBERS = {
+    "h0": ("id",),
+    "h1": ("id", "message", "ta"),
+    "lowerlevel_setup": ("ta",),
+    "corrupt": ("ta",),
+    "extract": ("id", "ta"),
+    "sign": ("id", "message", "ta"),
+}
 
-def op_kind(op) -> str:
-    """The name of a workload operation; MalformedEnvelope unless ``op`` is a
-    JSON object with a string ``"op"``."""
-    return member(op, "op", str, "workload operation")
 
-
-def _name(op, key: str) -> bytes:
-    return member(op, key, str, "workload operation").encode()
+def check_workload(ops) -> List[dict]:
+    """Return ``ops`` once it is a JSON list of objects, each with a string
+    ``"op"``, the string members its operation names and, for ``h0``, an
+    integer ``"bit"`` if any; raise MalformedEnvelope otherwise. An unknown
+    operation is left for run_workload to reject when it reaches it."""
+    if not isinstance(ops, list):
+        raise MalformedEnvelope("workload must be a JSON list of operations")
+    for op in ops:
+        kind = member(op, "op", str, "workload operation")
+        for key in _MEMBERS.get(kind, ()):
+            member(op, key, str, f"workload {kind} operation")
+        if kind == "h0" and not isinstance(op.get("bit", 0), int):
+            raise MalformedEnvelope("workload h0 operation: 'bit' must be a JSON integer")
+    return ops
 
 
 def run_workload(ch: Challenger, ops: List[dict]) -> dict:
-    """Execute a script against a challenger. Stops at the first abort.
+    """Execute a script, shaped as check_workload requires, against a
+    challenger. Stops at the first abort.
 
     Returns a summary: executed op count, abort site (if any), and the
     challenger's query counters.
@@ -44,28 +59,26 @@ def run_workload(ch: Challenger, ops: List[dict]) -> dict:
     abort_site: Optional[str] = None
     abort_detail = ""
     for op in ops:
-        kind = op_kind(op)
+        kind = op.get("op")
         try:
             if kind == "h0":
-                bit = op.get("bit", 0)
-                if not isinstance(bit, int):
-                    raise MalformedEnvelope("workload h0 operation: 'bit' must be a JSON integer")
-                ch.oracle_h0(_name(op, "id"), bit)
+                ch.oracle_h0(op["id"].encode(), int(op.get("bit", 0)))
             elif kind == "h1":
-                ta = ch.ta_list.get(_name(op, "ta"))
+                ta = ch.ta_list.get(op["ta"].encode())
                 if ta is None:
                     raise UnknownCertificate(
                         f"workload queried h1 for authority {op['ta']!r} before setting it up"
                     )
-                ch.oracle_h1(_name(op, "id"), _name(op, "message"), ta.record.cert_bytes(ch.engine))
+                ch.oracle_h1(op["id"].encode(), op["message"].encode(),
+                             ta.record.cert_bytes(ch.engine))
             elif kind == "lowerlevel_setup":
-                ch.oracle_lowerlevel_setup(_name(op, "ta"))
+                ch.oracle_lowerlevel_setup(op["ta"].encode())
             elif kind == "corrupt":
-                ch.oracle_corrupt(_name(op, "ta"))
+                ch.oracle_corrupt(op["ta"].encode())
             elif kind == "extract":
-                ch.oracle_extract(_name(op, "id"), _name(op, "ta"))
+                ch.oracle_extract(op["id"].encode(), op["ta"].encode())
             elif kind == "sign":
-                ch.oracle_sign(_name(op, "id"), _name(op, "message"), _name(op, "ta"))
+                ch.oracle_sign(op["id"].encode(), op["message"].encode(), op["ta"].encode())
             else:
                 raise ValueError(f"unknown workload op {kind!r}")
         except ReductionAbort as abort:
