@@ -33,15 +33,16 @@ _MEMBERS = {
 
 
 def check_workload(ops) -> List[dict]:
-    """Return ``ops`` once it is a JSON list of objects, each with a string
-    ``"op"``, the string members its operation names and, for ``h0``, an
-    integer ``"bit"`` if any; raise MalformedEnvelope otherwise. An unknown
-    operation is left for run_workload to reject when it reaches it."""
+    """Return ``ops`` once it is a JSON list of objects, each with a known
+    string ``"op"``, the string members that operation names and, for
+    ``h0``, an integer ``"bit"`` if any; raise MalformedEnvelope otherwise."""
     if not isinstance(ops, list):
         raise MalformedEnvelope("workload must be a JSON list of operations")
     for op in ops:
         kind = member(op, "op", str, "workload operation")
-        for key in _MEMBERS.get(kind, ()):
+        if kind not in _MEMBERS:
+            raise MalformedEnvelope(f"unknown workload op {kind!r}")
+        for key in _MEMBERS[kind]:
             member(op, key, str, f"workload {kind} operation")
         if kind == "h0" and not isinstance(op.get("bit", 0), int):
             raise MalformedEnvelope("workload h0 operation: 'bit' must be a JSON integer")
