@@ -1,23 +1,17 @@
 """Pairing engines: the algebraic substrate for the signature scheme.
 
-An engine bundles the two source groups, the target group, a bilinear map,
-hash-to-group / hash-to-scalar functions, canonical encodings, and an
-instrumented pairing counter. Two backends exist:
+Both backends subclass ``engine.PairingEngine``, which states the contract:
 
 * ``production`` -- BLS12-381, a Type-3 curve at the 128-bit level. No
   G2->G1 isomorphism is exposed.
 * ``mock`` -- integers mod 1009 with readable discrete logs; the test
   oracle. Requires explicit opt-in everywhere it can leak out (it offers no
   security whatsoever).
-
-Engines are immutable after construction apart from the pairing counter,
-which is updated under a lock; all group operations are pure, so engine
-values can be shared freely across threads.
 """
 
 from typing import Optional
 
-from .mock import MOCK_MODULUS, MockEngine, load_vector_table, dump_vector_table
+from .mock import MOCK_MODULUS, MockEngine, load_vector_table
 
 BACKENDS = ("production", "mock")
 
@@ -51,5 +45,4 @@ __all__ = [
     "MockEngine",
     "get_engine",
     "load_vector_table",
-    "dump_vector_table",
 ]

@@ -1,0 +1,85 @@
+"""The base class of both pairing backends: the plumbing every engine
+shares, written once."""
+
+import threading
+
+from ..encoding import hash_to_int_wide
+from ..errors import EmptyInput, InvalidElement, UnsupportedOperation
+
+
+class PairingEngine:
+    """A Type-3 pairing e: G1 x G2 -> GT on groups of prime order ``order``,
+    with hashing, canonical encodings and a pairing counter.
+
+    Elements are immutable: ``a * b`` is the group law, ``a ** k`` and
+    ``a.inverse()`` the rest. A subclass sets ``backend`` (named in
+    envelopes), ``order``, the element classes ``G1``/``G2``, the widths
+    ``scalar_bytes``/``g1_bytes``/``g2_bytes``, the generators ``g1``/``g2``
+    and the identities ``identity_g1``/``identity_g2``/``identity_gt``. It
+    provides ``pair`` and ``multi_pair`` (both passing their terms through
+    ``_counted``), ``hash_to_g1``, ``_encode_g1``/``_encode_g2`` and
+    ``decode_g1``/``decode_g2``, which reject all but canonical encodings of
+    subgroup elements; ``psi`` (G2 -> G1) only where the backend has one.
+
+    Apart from the counter, which one lock guards and which adds one per
+    pairing term, an engine is immutable and can be shared across threads.
+    """
+
+    def __init__(self):
+        self._pairing_count = 0
+        self._count_lock = threading.Lock()
+
+    @property
+    def pairing_count(self) -> int:
+        with self._count_lock:
+            return self._pairing_count
+
+    def _counted(self, terms) -> list:
+        """The terms as a list, once each is checked to be a (G1, G2) pair of
+        this engine; counts them. Raises before counting anything."""
+        terms = list(terms)
+        if not terms:
+            raise EmptyInput("a pairing needs at least one term")
+        for p, r in terms:
+            if type(p) is not self.G1 or type(r) is not self.G2:
+                raise InvalidElement("pairing terms must be (G1, G2)")
+        with self._count_lock:
+            self._pairing_count += len(terms)
+        return terms
+
+    def psi(self, r):
+        raise UnsupportedOperation(
+            f"the {self.backend} backend exposes no efficient G2->G1 isomorphism; use the mock backend"
+        )
+
+    def hash_to_scalar(self, tag: bytes, data: bytes) -> int:
+        """A scalar in [1, order - 1]; the domain tag must be non-empty
+        (``expand_bytes`` raises ValueError otherwise)."""
+        # reduce mod q-1 then shift into [1, q-1]: output is never 0
+        return 1 + hash_to_int_wide(tag, data, self.order - 1)
+
+    def random_scalar(self, rng) -> int:
+        return rng.randrange(1, self.order)
+
+    def encode_scalar(self, k: int) -> bytes:
+        if not 0 <= k < self.order:
+            raise InvalidElement(f"scalar {k} out of range")
+        return int(k).to_bytes(self.scalar_bytes, "big")
+
+    def decode_scalar(self, data: bytes) -> int:
+        if len(data) != self.scalar_bytes:
+            raise InvalidElement("bad scalar length")
+        k = int.from_bytes(data, "big")
+        if k >= self.order:
+            raise InvalidElement(f"scalar {k} out of range")
+        return k
+
+    def encode_g1(self, e) -> bytes:
+        if type(e) is not self.G1:
+            raise InvalidElement("not a G1 element")
+        return self._encode_g1(e)
+
+    def encode_g2(self, e) -> bytes:
+        if type(e) is not self.G2:
+            raise InvalidElement("not a G2 element")
+        return self._encode_g2(e)

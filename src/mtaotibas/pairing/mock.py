@@ -11,11 +11,11 @@ Hash functions consult a pinned lookup table first so test vectors can fix
 their outputs; unknown inputs fall back to deterministic wide hashing.
 """
 
-import threading
 from typing import Optional
 
-from ..encoding import expand_bytes, hash_to_int_wide
-from ..errors import EmptyInput, InvalidElement
+from ..encoding import hash_to_int_wide
+from ..errors import InvalidElement
+from .engine import PairingEngine
 
 MOCK_MODULUS = 1009  # prime, small enough for hand arithmetic
 
@@ -89,107 +89,61 @@ def load_vector_table(path) -> dict:
     return table
 
 
-def dump_vector_table(table: dict, path) -> None:
-    """Write a hash table in the format read by load_vector_table."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for (op, tag, data), value in table.items():
-            fh.write(f"{op} | {tag.hex()} {data.hex()} | {value.to_bytes(2, 'big').hex()}\n")
-
-
-class MockEngine:
+class MockEngine(PairingEngine):
     """PairingEngine backend over Z_1009 with readable discrete logs."""
 
     backend = "mock"
-    name = f"mock-{MOCK_MODULUS}"
-    supports_psi = True
     order = MOCK_MODULUS
+    G1 = MockG1
+    G2 = MockG2
     scalar_bytes = 2
     g1_bytes = 2
     g2_bytes = 2
 
     def __init__(self, table: Optional[dict] = None):
+        super().__init__()
         self.g1 = MockG1(1)
         self.g2 = MockG2(1)
         self.identity_g1 = MockG1(0)
         self.identity_g2 = MockG2(0)
         self.identity_gt = MockGT(0)
         self._table = dict(table) if table else {}
-        self._pairing_count = 0
-        self._count_lock = threading.Lock()
 
     # -- pairing ---------------------------------------------------------
 
-    def _count(self, k: int) -> None:
-        with self._count_lock:
-            self._pairing_count += k
-
-    @property
-    def pairing_count(self) -> int:
-        with self._count_lock:
-            return self._pairing_count
-
     def pair(self, p: MockG1, r: MockG2) -> MockGT:
-        if type(p) is not MockG1 or type(r) is not MockG2:
-            raise InvalidElement("pair expects (G1, G2)")
-        self._count(1)
+        self._counted([(p, r)])
         return MockGT(p.value * r.value)
 
     def multi_pair(self, terms) -> MockGT:
-        terms = list(terms)
-        if not terms:
-            raise EmptyInput("multi_pair needs at least one term")
-        acc = 0
-        for p, r in terms:
-            if type(p) is not MockG1 or type(r) is not MockG2:
-                raise InvalidElement("multi_pair expects (G1, G2) terms")
-            acc += p.value * r.value
-        self._count(len(terms))
-        return MockGT(acc)
+        return MockGT(sum(p.value * r.value for p, r in self._counted(terms)))
 
     def psi(self, r: MockG2) -> MockG1:
         if type(r) is not MockG2:
             raise InvalidElement("psi expects a G2 element")
         return MockG1(r.value)
 
-    # -- hashing and sampling ---------------------------------------------
+    # -- hashing ------------------------------------------------------------
+
+    def _pinned(self, op: str, tag: bytes, data: bytes) -> Optional[int]:
+        if not tag:
+            raise ValueError("domain tag must be non-empty")
+        return self._table.get((op, bytes(tag), bytes(data)))
 
     def hash_to_g1(self, tag: bytes, data: bytes) -> MockG1:
-        if not tag:
-            raise ValueError("domain tag must be non-empty")
-        pinned = self._table.get(("hash_to_g1", bytes(tag), bytes(data)))
-        if pinned is not None:
-            return MockG1(pinned)
-        return MockG1(hash_to_int_wide(tag, data, self.order))
+        pinned = self._pinned("hash_to_g1", tag, data)
+        return MockG1(hash_to_int_wide(tag, data, self.order) if pinned is None else pinned)
 
     def hash_to_scalar(self, tag: bytes, data: bytes) -> int:
-        if not tag:
-            raise ValueError("domain tag must be non-empty")
-        pinned = self._table.get(("hash_to_scalar", bytes(tag), bytes(data)))
-        if pinned is not None:
-            return pinned
-        # reduce mod q-1 then shift into [1, q-1]: output is never 0
-        return 1 + hash_to_int_wide(tag, data, self.order - 1)
-
-    def random_scalar(self, rng) -> int:
-        return rng.randrange(1, self.order)
+        pinned = self._pinned("hash_to_scalar", tag, data)
+        return super().hash_to_scalar(tag, data) if pinned is None else pinned
 
     # -- encodings ---------------------------------------------------------
 
-    def encode_scalar(self, k: int) -> bytes:
-        if not 0 <= k < self.order:
-            raise InvalidElement(f"scalar {k} out of range")
-        return k.to_bytes(self.scalar_bytes, "big")
-
-    def decode_scalar(self, data: bytes) -> int:
-        if len(data) != self.scalar_bytes:
-            raise InvalidElement("bad scalar length")
-        k = int.from_bytes(data, "big")
-        if k >= self.order:
-            raise InvalidElement(f"scalar {k} out of range")
-        return k
-
-    def _encode_element(self, e: _MockElement) -> bytes:
+    def _encode_g1(self, e: _MockElement) -> bytes:
         return e.value.to_bytes(2, "big")
+
+    _encode_g2 = _encode_g1
 
     def _decode_value(self, data: bytes) -> int:
         if len(data) != 2:
@@ -199,18 +153,8 @@ class MockEngine:
             raise InvalidElement(f"value {v} outside Z_{self.order}")
         return v
 
-    def encode_g1(self, e: MockG1) -> bytes:
-        if type(e) is not MockG1:
-            raise InvalidElement("not a G1 element")
-        return self._encode_element(e)
-
     def decode_g1(self, data: bytes) -> MockG1:
         return MockG1(self._decode_value(data))
-
-    def encode_g2(self, e: MockG2) -> bytes:
-        if type(e) is not MockG2:
-            raise InvalidElement("not a G2 element")
-        return self._encode_element(e)
 
     def decode_g2(self, data: bytes) -> MockG2:
         return MockG2(self._decode_value(data))

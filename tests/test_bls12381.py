@@ -89,6 +89,10 @@ def test_multi_pair_equals_product_and_counts(bls_engine):
 
 def test_glv_matches_plain():
     g = (curve._G1X, curve._G1Y)
+    p, beta, lam = int(curve.PRIME), int(curve.GLV_BETA), curve.GLV_LAMBDA
+    assert beta != 1 and pow(beta, 3, p) == 1
+    assert (lam * lam + lam + 1) % curve.ORDER == 0
+    assert (g[0] * beta % p, g[1]) == curve.g1_mul_plain(g, lam % curve.ORDER)
     rng = random.Random(4)
     for k in [1, 2, curve.GLV_LAMBDA, curve.ORDER - 1] + [rng.randrange(curve.ORDER) for _ in range(20)]:
         assert curve.g1_mul(g, k) == curve.g1_mul_plain(g, k % curve.ORDER)
@@ -112,7 +116,6 @@ def test_group_axioms(bls_engine):
 def test_psi_unsupported(bls_engine):
     with pytest.raises(UnsupportedOperation):
         bls_engine.psi(bls_engine.g2)
-    assert not bls_engine.supports_psi
 
 
 def test_hash_to_g1_deterministic_subgroup_valid(bls_engine):

@@ -1,14 +1,16 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from mtaotibas.errors import EmptyInput, InvalidElement
-from mtaotibas.pairing import MOCK_MODULUS, MockEngine, dump_vector_table, load_vector_table
+from mtaotibas.pairing import MOCK_MODULUS, MockEngine, load_vector_table
 from mtaotibas.scheme import DOMAIN_H0
 
 from conftest import fixed_mock_table
 
 Q = MOCK_MODULUS
+DATA = Path(__file__).parent / "data"
 
 
 def test_pair_is_integer_multiplication(mock_engine):
@@ -149,11 +151,8 @@ def test_element_encoding_round_trip(mock_engine):
         e.decode_g1(b"\x04\x00")  # 1024 >= q
 
 
-def test_vector_table_file_round_trip(tmp_path):
-    table = fixed_mock_table()
-    path = tmp_path / "vectors.txt"
-    dump_vector_table(table, path)
-    assert load_vector_table(path) == table
+def test_vector_table_file_round_trip():
+    assert load_vector_table(DATA / "mock_vectors.txt") == fixed_mock_table()
 
 
 def test_vector_table_rejects_garbage(tmp_path):
