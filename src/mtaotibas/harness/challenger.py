@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .. import scheme
-from ..encoding import length_prefixed
 from ..errors import DegenerateDenominator, ReductionAbort, UnknownCertificate
 
 ABORT_SITES = ("corrupt", "extract", "sign", "forgery")
@@ -106,7 +105,7 @@ class Challenger:
         self._hashes = scheme.HashSuite(
             identity_point=lambda ident, bit: (self._h0(bytes(ident)).id0, self._h0(bytes(ident)).id1)[bit],
             message_scalar=lambda msg, ident, cert: self._h1(bytes(ident), bytes(msg), bytes(cert)).h,
-            cert_point=lambda payload: engine.hash_to_g1(scheme.DOMAIN_CERT, payload),
+            cert_point=scheme.engine_hashes(engine).cert_point,
         )
 
     # -- plumbing -----------------------------------------------------------
@@ -163,9 +162,7 @@ class Challenger:
         else:
             y_i = self.instance.b_elt ** kappa_i
         self.exponentiations["lowerlevel_setup"] += 1
-        payload = length_prefixed(ta_identity, self.engine.encode_g2(y_i))
-        cert = self._hashes.cert_point(payload) ** self.master.kappa
-        record = scheme.TARecord(ta_identity=ta_identity, y_i=y_i, cert=cert)
+        record = scheme.certify(self.engine, self.master, ta_identity, y_i)
         rec = TASimRecord(record=record, kappa_i=kappa_i, coin=coin)
         self.ta_list[ta_identity] = rec
         self.ta_by_cert[record.cert_bytes(self.engine)] = rec

@@ -11,9 +11,10 @@ G1; verification groups signers by their issuing authority and checks one
 pairing equation whose cost is l+1 pairings for l authorities, independent
 of the number of signers.
 
-All hash invocations go through a HashSuite so a random-oracle simulator
-can swap in programmed tables; the default suite instantiates the oracles
-from the engine's hash functions under fixed domain-separation tags.
+Every hash goes through a HashSuite. The default suite instantiates the
+oracles from the engine's hash functions under fixed domain-separation
+tags; ``verify`` and ``key_is_well_formed`` also take a suite, so a
+random-oracle simulator can verify under its programmed tables.
 """
 
 import hashlib
@@ -82,7 +83,7 @@ class TARecord:
 
     def payload(self, engine) -> bytes:
         """The bytes the root signs: identity framed with the public key."""
-        return length_prefixed(self.ta_identity, engine.encode_g2(self.y_i))
+        return cert_payload(engine, self.ta_identity, self.y_i)
 
     def cert_bytes(self, engine) -> bytes:
         """Canonical certificate bytes as hashed into every signature."""
@@ -92,6 +93,19 @@ class TARecord:
 
     def fingerprint(self, engine) -> bytes:
         return hashlib.sha256(b"MTAO-TA" + self.cert_bytes(engine)).digest()
+
+
+def cert_payload(engine, ta_identity: bytes, y_i) -> bytes:
+    """The bytes the root signs for an authority: its identity framed with
+    its public key."""
+    return length_prefixed(ta_identity, engine.encode_g2(y_i))
+
+
+def certify(engine, master: MasterSecret, ta_identity: bytes, y_i) -> TARecord:
+    """The authority record the root issues: its certificate is
+    cert-hash(payload)^kappa."""
+    cert = engine_hashes(engine).cert_point(cert_payload(engine, ta_identity, y_i)) ** master.kappa
+    return TARecord(ta_identity=ta_identity, y_i=y_i, cert=cert)
 
 
 @dataclass(frozen=True)
@@ -150,35 +164,28 @@ def root_setup(engine, rng) -> Tuple[MasterSecret, SystemParams]:
     return MasterSecret(kappa), SystemParams(backend=engine.backend, y=engine.g2 ** kappa)
 
 
-def lowerlevel_setup(engine, params: SystemParams, master: MasterSecret, ta_identity: bytes, rng,
-                     hashes: Optional[HashSuite] = None) -> Tuple[TASecret, TARecord]:
+def lowerlevel_setup(engine, params: SystemParams, master: MasterSecret, ta_identity: bytes,
+                     rng) -> Tuple[TASecret, TARecord]:
     """Enroll a lower-level authority: fresh keypair plus a root-signed
     certificate over (identity, public key)."""
     if not ta_identity:
         raise ValueError("authority identity must be non-empty")
-    hashes = hashes or engine_hashes(engine)
     kappa_i = engine.random_scalar(rng)
-    y_i = engine.g2 ** kappa_i
-    payload = length_prefixed(bytes(ta_identity), engine.encode_g2(y_i))
-    cert = hashes.cert_point(payload) ** master.kappa
-    return TASecret(kappa_i), TARecord(ta_identity=bytes(ta_identity), y_i=y_i, cert=cert)
+    return TASecret(kappa_i), certify(engine, master, bytes(ta_identity), engine.g2 ** kappa_i)
 
 
-def verify_certificate(engine, params: SystemParams, ta: TARecord,
-                       hashes: Optional[HashSuite] = None) -> bool:
+def verify_certificate(engine, params: SystemParams, ta: TARecord) -> bool:
     """Check the root's signature on an authority record:
     pair(cert, g2) == pair(cert-hash(payload), y)."""
-    hashes = hashes or engine_hashes(engine)
-    h = hashes.cert_point(ta.payload(engine))
+    h = engine_hashes(engine).cert_point(ta.payload(engine))
     return engine.pair(ta.cert, engine.g2) == engine.pair(h, params.y)
 
 
-def extract(engine, ta_secret: TASecret, ta: TARecord, signer_id: bytes,
-            hashes: Optional[HashSuite] = None) -> SignerKey:
+def extract(engine, ta_secret: TASecret, ta: TARecord, signer_id: bytes) -> SignerKey:
     """Derive a signer's one-time key from its identity under an authority."""
     if not signer_id:
         raise ValueError("signer identity must be non-empty")
-    hashes = hashes or engine_hashes(engine)
+    hashes = engine_hashes(engine)
     id0 = hashes.identity_point(bytes(signer_id), 0)
     id1 = hashes.identity_point(bytes(signer_id), 1)
     return SignerKey(
@@ -201,20 +208,17 @@ def key_is_well_formed(engine, key: SignerKey, ta: TARecord,
     return True
 
 
-def signature_hash(engine, message: bytes, signer_id: bytes, ta: TARecord,
-                   hashes: Optional[HashSuite] = None) -> int:
+def signature_hash(engine, message: bytes, signer_id: bytes, ta: TARecord) -> int:
     """The per-signature scalar h = H1(message, identity, certificate)."""
-    hashes = hashes or engine_hashes(engine)
-    return hashes.message_scalar(bytes(message), bytes(signer_id), ta.cert_bytes(engine))
+    return engine_hashes(engine).message_scalar(bytes(message), bytes(signer_id), ta.cert_bytes(engine))
 
 
-def sign(engine, key: SignerKey, ta: TARecord, message: bytes,
-         hashes: Optional[HashSuite] = None) -> Signature:
+def sign(engine, key: SignerKey, ta: TARecord, message: bytes) -> Signature:
     """Raw signing: sigma = s0 * s1^h. Deterministic and stateless; the
     one-time discipline lives in the key store wrapper."""
     if key.ta_fingerprint != ta.fingerprint(engine):
         raise KeyMismatch("key was not issued under this authority record")
-    h = signature_hash(engine, message, key.signer_id, ta, hashes)
+    h = signature_hash(engine, message, key.signer_id, ta)
     return Signature(sigma=key.s0 * key.s1 ** h)
 
 
