@@ -70,6 +70,7 @@ def cli_errors(fn):
 @click.option("--mock-table", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Test-vector file pinning mock hash outputs.")
 @click.pass_context
+@cli_errors
 def main(ctx, backend, insecure_mock, seed, mock_table):
     """Aggregate identity-based signatures across multiple authorities."""
     if backend == "mock" and not insecure_mock:

@@ -292,7 +292,7 @@ def from_json_obj(engine, doc: dict, expect: str):
     _expect(doc, dict, "envelope")
     if doc.get("format") != "MTAO":
         raise MalformedEnvelope("bad format marker")
-    if doc.get("version") != VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != VERSION:  # not true or 1.0
         raise MalformedEnvelope("unsupported version")
     if doc.get("type") != expect:
         raise MalformedEnvelope(f"expected {expect}, found {doc.get('type')!r}")

@@ -154,6 +154,20 @@ def test_mock_table_rejected_on_production(workdir):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("content", [
+    b"garbage line\n",
+    b"hash_to_g1 | zz 00 | 0001\n",
+    b"hash_to_g2 | 00 00 | 0001\n",
+    b"\xff\xfe hash_to_g1 | 00 00 | 0001\n",
+], ids=["no-fields", "bad-hex", "unknown-op", "not-utf8"])
+def test_malformed_mock_table_exits_2(workdir, content):
+    Path("vectors.txt").write_bytes(content)
+    result = CliRunner().invoke(main, MOCK + ["root-setup", "--out-params", "p.json", "--out-master", "m.json"])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.stderr.lower()
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_aggregate_argument_count_checked(workdir):
     runner = CliRunner()
     drive_lifecycle(runner)
@@ -278,7 +292,9 @@ def _wrong_type_cases():
     # (an empty list of groups is a well-formed bundle that fails to verify)
     for name, (doc, _) in _JSON_INPUTS.items():
         for path, node in _nodes(doc):
-            for wrong in (1, "x", [], {}, None):
+            # true and 1.0 equal 1 in Python but are no JSON integer
+            extra = (True, 1.0) if path[-1:] == ("version",) else ()
+            for wrong in (1, "x", [], {}, None) + extra:
                 if type(wrong) is not type(node):
                     node_id = "/".join(map(str, path)) or "root"
                     yield pytest.param(name, path, wrong, id=f"{name}:{node_id}={json.dumps(wrong)}")

@@ -168,3 +168,12 @@ def test_missing_field_rejected(fixed_scenario):
     del doc["fields"]["sigma"]
     with pytest.raises(MalformedEnvelope):
         envelopes.from_json_obj(eng, doc, "signature")
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+def test_version_must_be_the_integer_1(fixed_scenario, version):
+    eng = fixed_scenario["engine"]
+    doc = envelopes.to_json_obj(eng, fixed_scenario["signatures"][0])
+    doc["version"] = version
+    with pytest.raises(MalformedEnvelope):
+        envelopes.from_json_obj(eng, doc, "signature")
