@@ -144,8 +144,9 @@ class Challenger:
         else:
             alpha0p = self.rng.randrange(1, q)
             alpha1p = self.rng.randrange(1, q)
-            id0 = self.engine.g1 ** alpha0 * self.instance.a_elt ** alpha0p
-            id1 = self.engine.g1 ** alpha1 * self.instance.a_elt ** alpha1p
+            g1, a = self.engine.g1, self.instance.a_elt
+            id0 = self.engine.g1_product([(g1, alpha0), (a, alpha0p)])
+            id1 = self.engine.g1_product([(g1, alpha1), (a, alpha1p)])
             self.exponentiations["h0"] += 4
         rec = H0Record(identity, alpha0, alpha0p, alpha1, alpha1p, id0, id1, coin)
         self.h0_list[identity] = rec
@@ -262,7 +263,7 @@ class Challenger:
             s0 = self.engine.psi(self.instance.b_elt ** (ta.kappa_i * h0.alpha0 % q))
             s1 = self.engine.psi(self.instance.b_elt ** (ta.kappa_i * h0.alpha1 % q))
         self.exponentiations["sign"] += 3
-        return scheme.Signature(sigma=s0 * s1 ** h1.h)
+        return scheme.Signature(sigma=self.engine.g1_product([(s0, 1), (s1, h1.h)]))
 
     # -- forgery handling ----------------------------------------------------
 

@@ -35,7 +35,8 @@ _MEMBERS = {
 def check_workload(ops) -> List[dict]:
     """Return ``ops`` once it is a JSON list of objects, each with a known
     string ``"op"``, the string members that operation names and, for
-    ``h0``, an integer ``"bit"`` if any; raise MalformedEnvelope otherwise."""
+    ``h0``, a ``"bit"`` of JSON integer 0 or 1 if any; raise
+    MalformedEnvelope otherwise, before any operation runs."""
     if not isinstance(ops, list):
         raise MalformedEnvelope("workload must be a JSON list of operations")
     for op in ops:
@@ -44,8 +45,11 @@ def check_workload(ops) -> List[dict]:
             raise MalformedEnvelope(f"unknown workload op {kind!r}")
         for key in _MEMBERS[kind]:
             member(op, key, str, f"workload {kind} operation")
-        if kind == "h0" and not isinstance(op.get("bit", 0), int):
-            raise MalformedEnvelope("workload h0 operation: 'bit' must be a JSON integer")
+        if kind == "h0":
+            bit = op.get("bit", 0)
+            # JSON true loads as a Python bool, which equals 1 but is no JSON integer
+            if type(bit) is not int or bit not in (0, 1):
+                raise MalformedEnvelope("workload h0 operation: 'bit' must be the JSON integer 0 or 1")
     return ops
 
 

@@ -1,9 +1,15 @@
 """BLS12-381 backend: Type-3 pairing at the 128-bit security level.
 
 Everything is implemented over gmpy2 integers (plain ints if gmpy2 is
-missing). Field towers use flat tuples, curve arithmetic uses Jacobian
-coordinates, the Miller loop runs in affine coordinates with batched
-inversions, and the final exponentiation uses the cube-of-the-pairing
+missing). Field towers use flat tuples and curve arithmetic uses Jacobian
+coordinates. Variable-base G1 scalar multiplication is one kernel,
+g1_msm: a multi-scalar multiplication that splits each scalar with the
+GLV endomorphism phi and interleaves all points over one chain of
+doublings (Straus), each point with a table of i*P + j*phi(P), i, j in
+0..3, normalized to affine with one inversion per call; g1_mul is its
+one-point case and g1_mul_plain the double-and-add reference. The Miller
+loop runs in affine coordinates with batched inversions, and the final
+exponentiation uses the cube-of-the-pairing
 decomposition 3*(p^4-p^2+1)/r = (x-1)^2 (x+p) (x^2+p^2-1) + 3, which is an
 integer identity checked in the test suite. Cubing the reduced pairing
 preserves bilinearity and non-degeneracy, so all protocol equations are
@@ -23,7 +29,7 @@ from .engine import PairingEngine
 
 try:
     from gmpy2 import mpz, invert as _invert
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional "fast" extra; plain ints are the tested path
     mpz = int
 
     def _invert(a, m):
@@ -397,23 +403,77 @@ GLV_LAMBDA = X_CURVE * X_CURVE - 1
 GLV_BETA = mpz(0x1A0111EA397FE699EC02408663D4DE85AA0D857D89759AD4897D29650FB85F9B409427EB4F49FFFD8BFD00000000AAAC)
 
 
-def g1_mul(pt, k):
-    k = int(k) % ORDER
-    if pt is None or k == 0:
-        return None
-    k1, k2 = k % GLV_LAMBDA, k // GLV_LAMBDA
+def _j_batch_normalize(points):
+    # Montgomery's trick: one inversion for all the Z coordinates, none zero
+    prefix = []
+    acc = mpz(1)
+    for _, _, Z in points:
+        prefix.append(acc)
+        acc = acc * Z % PRIME
+    inv = _invert(acc, PRIME)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        X, Y, Z = points[i]
+        zi = inv * prefix[i] % PRIME
+        inv = inv * Z % PRIME
+        zi2 = zi * zi % PRIME
+        out[i] = (X * zi2 % PRIME, Y * zi2 * zi % PRIME)
+    return out
+
+
+def _glv_table(pt):
+    # i*P + j*phi(P) for i, j in 0..3 in Jacobian coordinates, at index
+    # i + 4j - 1 (the identity, i = j = 0, is left out); for an r-subgroup
+    # point none is the identity, as i + j*LAMBDA is not 0 mod r
     x, y = pt
-    phi = (x * GLV_BETA % PRIME, y)
-    both = g1_add(pt, phi)
-    table = (None, pt, phi, both)
+    one = mpz(1)
+    table = [(mpz(0), one, mpz(0)), (x, y, one), _j_double(x, y, one)]
+    table.append(_j_add_affine(*table[2], x, y))
+    phi_x = x * GLV_BETA % PRIME
+    for k in range(4, 16):
+        table.append(_j_add_affine(*table[k - 4], phi_x, y))
+    return table[1:]
+
+
+def g1_msm(pairs):
+    """Sum of k*P over (P, k) pairs of r-subgroup points (None = identity).
+
+    Straus interleaving with the GLV split: k = k1 + k2*LAMBDA with k1, k2
+    of about 128 bits, and per point a joint 2-bit window table of
+    i*P + j*phi(P), built in Jacobian coordinates and brought to affine with
+    one inversion for all tables. One chain of doublings is shared by every
+    point, with one mixed addition per point per nonzero window. A point
+    whose scalar is 1 needs no table; it is added after the last doubling.
+    """
+    ones = []
+    terms = []
+    for pt, k in pairs:
+        k = int(k) % ORDER
+        if pt is None or k == 0:
+            continue
+        if k == 1:
+            ones.append(pt)
+        else:
+            terms.append((pt, k % GLV_LAMBDA, k // GLV_LAMBDA))
     acc = (mpz(0), mpz(1), mpz(0))
-    for i in range(max(k1.bit_length(), k2.bit_length()) - 1, -1, -1):
-        acc = _j_double(*acc)
-        sel = ((k1 >> i) & 1) | (((k2 >> i) & 1) << 1)
-        if sel:
-            t = table[sel]
-            acc = _j_add_affine(*acc, t[0], t[1])
+    if terms:
+        flat = _j_batch_normalize([e for pt, _, _ in terms for e in _glv_table(pt)])
+        tables = [flat[15 * t:15 * t + 15] for t in range(len(terms))]
+        top = (max(max(k1.bit_length(), k2.bit_length()) for _, k1, k2 in terms) + 1) & ~1
+        for shift in range(top - 2, -1, -2):
+            acc = _j_double(*_j_double(*acc))
+            for table, (_, k1, k2) in zip(tables, terms):
+                sel = ((k1 >> shift) & 3) | (((k2 >> shift) & 3) << 2)
+                if sel:
+                    x, y = table[sel - 1]
+                    acc = _j_add_affine(*acc, x, y)
+    for x, y in ones:
+        acc = _j_add_affine(*acc, x, y)
     return _j_normalize(*acc)
+
+
+def g1_mul(pt, k):
+    return g1_msm([(pt, k)])
 
 
 def g1_in_subgroup(pt):
@@ -907,6 +967,9 @@ class Bls12381Engine(PairingEngine):
     def hash_to_g1(self, tag: bytes, data: bytes) -> G1Point:
         # an empty tag raises ValueError in expand_bytes and is never cached
         return G1Point(self._hash_g1(bytes(tag), bytes(data)))
+
+    def g1_product(self, pairs) -> G1Point:
+        return G1Point(g1_msm([(p.pt, k) for p, k in self._g1_terms(pairs)]))
 
     def _encode_g1(self, e: G1Point) -> bytes:
         return encode_g1_point(e.pt)

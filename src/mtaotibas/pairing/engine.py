@@ -12,14 +12,17 @@ class PairingEngine:
     with hashing, canonical encodings and a pairing counter.
 
     Elements are immutable: ``a * b`` is the group law, ``a ** k`` and
-    ``a.inverse()`` the rest. A subclass sets ``backend`` (named in
-    envelopes), ``order``, the element classes ``G1``/``G2``, the widths
-    ``scalar_bytes``/``g1_bytes``/``g2_bytes``, the generators ``g1``/``g2``
-    and the identities ``identity_g1``/``identity_g2``/``identity_gt``. It
-    provides ``pair`` and ``multi_pair`` (both passing their terms through
-    ``_counted``), ``hash_to_g1``, ``_encode_g1``/``_encode_g2`` and
-    ``decode_g1``/``decode_g2``, which reject all but canonical encodings of
-    subgroup elements; ``psi`` (G2 -> G1) only where the backend has one.
+    ``a.inverse()`` the rest, and ``g1_product`` a product of powers in G1.
+    A subclass sets ``backend`` (named in envelopes), ``order``, the element
+    classes ``G1``/``G2``, the widths ``scalar_bytes``/``g1_bytes``/
+    ``g2_bytes``, the generators ``g1``/``g2`` and the identities
+    ``identity_g1``/``identity_g2``/``identity_gt``. It provides ``pair``
+    and ``multi_pair`` (both passing their terms through ``_counted``),
+    ``hash_to_g1``, ``_encode_g1``/``_encode_g2`` and ``decode_g1``/
+    ``decode_g2``, which reject all but canonical encodings of subgroup
+    elements; ``psi`` (G2 -> G1) only where the backend has one; and may
+    replace ``g1_product``'s loop of ``*`` and ``**`` with a faster kernel
+    that passes its bases through ``_g1_terms``.
 
     Apart from the counter, which one lock guards and which adds one per
     pairing term, an engine is immutable and can be shared across threads.
@@ -46,6 +49,22 @@ class PairingEngine:
         with self._count_lock:
             self._pairing_count += len(terms)
         return terms
+
+    def g1_product(self, pairs):
+        """The product of ``base ** k`` over (base, k) pairs whose bases are
+        G1 elements of this engine; ``identity_g1`` for no pairs. Raises
+        InvalidElement for any other base before computing anything."""
+        out = self.identity_g1
+        for base, k in self._g1_terms(pairs):
+            out = out * base ** k
+        return out
+
+    def _g1_terms(self, pairs) -> list:
+        pairs = list(pairs)
+        for base, _ in pairs:
+            if type(base) is not self.G1:
+                raise InvalidElement("product bases must be G1 elements")
+        return pairs
 
     def psi(self, r):
         raise UnsupportedOperation(

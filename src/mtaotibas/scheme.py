@@ -219,7 +219,7 @@ def sign(engine, key: SignerKey, ta: TARecord, message: bytes) -> Signature:
     if key.ta_fingerprint != ta.fingerprint(engine):
         raise KeyMismatch("key was not issued under this authority record")
     h = signature_hash(engine, message, key.signer_id, ta)
-    return Signature(sigma=key.s0 * key.s1 ** h)
+    return Signature(sigma=engine.g1_product([(key.s0, 1), (key.s1, h)]))
 
 
 def aggregate(engine, signatures: Sequence[Signature]):
@@ -247,7 +247,8 @@ def verify(engine, params: SystemParams, bundle: AggregateBundle,
 
     Certificate equations are batched into one product with random weights
     (2 pairing evaluations per authority); the main equation is one product
-    of l+1 evaluations regardless of the signer count.
+    of l+1 evaluations regardless of the signer count, and each authority's
+    inner product is one engine.g1_product.
     """
     hashes = hashes or engine_hashes(engine)
     if not bundle.groups:
@@ -285,12 +286,11 @@ def verify(engine, params: SystemParams, bundle: AggregateBundle,
     terms = [(bundle.omega.inverse(), engine.g2)]
     for ta, signers in bundle.groups:
         cert_b = ta.cert_bytes(engine)
-        inner = None
+        powers = []
         for ident, message in signers:
             h = hashes.message_scalar(message, ident, cert_b)
-            contrib = hashes.identity_point(ident, 0) * hashes.identity_point(ident, 1) ** h
-            inner = contrib if inner is None else inner * contrib
-        terms.append((inner, ta.y_i))
+            powers += [(hashes.identity_point(ident, 0), 1), (hashes.identity_point(ident, 1), h)]
+        terms.append((engine.g1_product(powers), ta.y_i))
     ok = engine.multi_pair(terms) == engine.identity_gt
     return VerifyResult(
         valid=ok,

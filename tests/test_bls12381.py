@@ -100,6 +100,41 @@ def test_glv_matches_plain():
     assert curve.g1_mul(g, curve.ORDER) is None
 
 
+def _plain_sum(pairs):
+    acc = None
+    for pt, k in pairs:
+        acc = curve.g1_add(acc, curve.g1_mul_plain(pt, k % curve.ORDER))
+    return acc
+
+
+def test_msm_matches_plain():
+    g = (curve._G1X, curve._G1Y)
+    rng = random.Random(7)
+    pts = [curve.g1_mul_plain(g, rng.randrange(1, curve.ORDER)) for _ in range(17)]
+    lam, r = curve.GLV_LAMBDA, curve.ORDER
+    edges = [0, 1, 2, lam - 1, lam, lam + 1, 1 << 128, r - 1, r, r + 1]
+    for n in (0, 1, 2, 3, 16, 17):
+        pairs = [(pt, rng.choice(edges) if rng.random() < 0.3 else rng.randrange(r)) for pt in pts[:n]]
+        assert curve.g1_msm(pairs) == _plain_sum(pairs), n
+    for k in edges + [rng.randrange(r) for _ in range(5)]:
+        for pairs in ([(pts[0], k)], [(pts[0], k), (pts[1], rng.randrange(r)), (pts[2], 1)]):
+            assert curve.g1_msm(pairs) == _plain_sum(pairs), k
+    p, q, k, m = pts[3], pts[4], rng.randrange(2, r), rng.randrange(2, r)
+    cases = [
+        [(None, k), (p, m), (None, 1)],  # identity bases
+        [(p, k), (p, m)],  # a base repeated
+        [(p, k), (p, k), (q, 1), (q, 1)],  # equal table entries meet: a doubling
+        [(p, k), (curve.g1_neg(p), k)],  # P and -P: the identity
+        [(p, 1), (curve.g1_neg(p), 1)],
+        [(p, k), (curve.g1_neg(p), k), (q, m)],  # through the identity part-way
+        [(q, m), (p, 1), (curve.g1_neg(p), 1), (q, r - m)],
+    ]
+    for pairs in cases:
+        assert curve.g1_msm(pairs) == _plain_sum(pairs)
+    assert curve.g1_msm(cases[3]) is None and curve.g1_msm(cases[4]) is None
+    assert curve.g1_msm(cases[6]) is None
+
+
 def test_group_axioms(bls_engine):
     e = bls_engine
     x = e.g1 ** 12345

@@ -293,7 +293,7 @@ def _wrong_type_cases():
     for name, (doc, _) in _JSON_INPUTS.items():
         for path, node in _nodes(doc):
             # true and 1.0 equal 1 in Python but are no JSON integer
-            extra = (True, 1.0) if path[-1:] == ("version",) else ()
+            extra = {"version": (True, 1.0), "bit": (True,)}.get(path[-1] if path else None, ())
             for wrong in (1, "x", [], {}, None) + extra:
                 if type(wrong) is not type(node):
                     node_id = "/".join(map(str, path)) or "root"
@@ -334,3 +334,19 @@ def test_wrongly_typed_json_exits_2(lifecycle_dir, tmp_path, monkeypatch, name, 
     assert result.exit_code == 2, result.output
     assert "error:" in result.stderr.lower()
     assert isinstance(result.exception, SystemExit)  # no traceback escaped
+
+
+@pytest.mark.parametrize("bit", [7, -1, True])
+def test_workload_bit_checked_before_any_operation(lifecycle_dir, tmp_path, monkeypatch, bit):
+    from mtaotibas.harness.challenger import Challenger
+
+    ran = []
+    setup = Challenger.oracle_lowerlevel_setup
+    monkeypatch.setattr(Challenger, "oracle_lowerlevel_setup",
+                        lambda ch, ta: ran.append(ta) or setup(ch, ta))
+    assert _WORKLOAD[0]["op"] == "lowerlevel_setup" and _WORKLOAD[1]["op"] == "h0"
+    doc = _replaced(_WORKLOAD, (1, "bit"), bit)
+    result = _invoke_with(lifecycle_dir, tmp_path, monkeypatch, "workload.json", doc)
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.stderr.lower()
+    assert ran == []

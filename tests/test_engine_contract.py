@@ -1,5 +1,8 @@
 """The engine contract both backends share: term and element type checks,
-the scalar codec's range and length checks, and the domain-tag check."""
+products of powers in G1, the scalar codec's range and length checks, and
+the domain-tag check."""
+
+import random
 
 import pytest
 
@@ -44,6 +47,29 @@ def test_multi_pair_rejects_bad_terms_without_counting(engine):
     with pytest.raises(EmptyInput):
         engine.multi_pair(iter(()))
     assert engine.pairing_count == before
+
+
+def test_g1_product_matches_power_loop(engine):
+    rng = random.Random(8)
+    q = engine.order
+    bases = [engine.g1 ** rng.randrange(1, q) for _ in range(3)] + [engine.identity_g1, engine.g1]
+    scalars = [0, 1, q - 1, q, q + 1] + [rng.randrange(q) for _ in range(5)]
+    for n in range(len(bases) + 1):
+        pairs = [(b, rng.choice(scalars)) for b in bases[:n]]
+        expected = engine.identity_g1
+        for b, k in pairs:
+            expected = expected * b ** k
+        assert engine.g1_product(pairs) == expected
+        assert engine.g1_product(iter(pairs)) == expected
+    assert engine.g1_product([]) == engine.identity_g1
+
+
+def test_g1_product_rejects_bad_bases(engine):
+    f1, _ = _foreign(engine)
+    for bad in (engine.g2, engine.identity_gt, f1, None, 1):
+        for pairs in ([(bad, 2)], [(engine.g1, 2), (bad, 3)]):
+            with pytest.raises(InvalidElement):
+                engine.g1_product(pairs)
 
 
 def test_encode_rejects_the_other_group(engine):
