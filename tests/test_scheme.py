@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -61,6 +62,80 @@ def test_certificate_tamper_exhaustive(fixed_scenario):
             continue
         forged = scheme.TARecord(trec.ta_identity, trec.y_i, eng.element_g1(other))
         assert not scheme.verify_certificate(eng, params, forged)
+
+
+def _checked(engine, check, *args):
+    """The check's answer and the pairing terms it spent."""
+    before = engine.pairing_count
+    answer = check(engine, *args)
+    return answer, engine.pairing_count - before
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_key_component_tamper_exhaustive(fixed_scenario, bit):
+    # a wrong s0 fails the first equation (2 terms); a wrong s1 the second (4)
+    eng = fixed_scenario["engine"]
+    _, trec = fixed_scenario["tas"][b"TA-1"]
+    key = fixed_scenario["keys"][b"ID-A"]
+    field = f"s{bit}"
+    good = eng.dlog(getattr(key, field))
+    for other in range(Q):
+        if other == good:
+            continue
+        forged = replace(key, **{field: eng.element_g1(other)})
+        assert _checked(eng, scheme.key_is_well_formed, forged, trec) == (False, 2 + 2 * bit), other
+
+
+def test_check_pairing_costs_mock(fixed_scenario):
+    eng = fixed_scenario["engine"]
+    params = fixed_scenario["params"]
+    _, trec = fixed_scenario["tas"][b"TA-1"]
+    key = fixed_scenario["keys"][b"ID-A"]
+    assert _checked(eng, scheme.verify_certificate, params, trec) == (True, 2)
+    assert _checked(eng, scheme.verify_certificate, params, replace(trec, cert=trec.cert * eng.g1)) == (False, 2)
+    assert _checked(eng, scheme.key_is_well_formed, key, trec) == (True, 4)
+
+
+@pytest.fixture(scope="module")
+def bls_authorities(bls_engine):
+    """Two production roots; the first enrolls two authorities, and each
+    authority extracts a key for the same signer identity."""
+    e = bls_engine
+    rng = random.Random(0xCE47)
+    master, params = scheme.root_setup(e, rng)
+    _, other_params = scheme.root_setup(e, rng)
+    records, keys = [], []
+    for tag in (b"TA-P", b"TA-Q"):
+        tsec, trec = scheme.lowerlevel_setup(e, params, master, tag, rng)
+        records.append(trec)
+        keys.append(scheme.extract(e, tsec, trec, b"ID-P"))
+    return params, other_params, records, keys
+
+
+def test_certificate_checks_production(bls_engine, bls_authorities):
+    e = bls_engine
+    params, other_params, (ta_p, ta_q), _ = bls_authorities
+    cases = [
+        ("honest", params, ta_p, True),
+        ("another root's params", other_params, ta_p, False),
+        ("tampered cert", params, replace(ta_p, cert=ta_p.cert * e.g1), False),
+        ("another authority's cert", params, replace(ta_p, cert=ta_q.cert), False),
+    ]
+    for name, p, ta, answer in cases:
+        assert _checked(e, scheme.verify_certificate, p, ta) == (answer, 2), name
+
+
+def test_key_checks_production(bls_engine, bls_authorities):
+    e = bls_engine
+    _, _, (ta_p, ta_q), (key_p, key_q) = bls_authorities
+    cases = [
+        ("honest", key_p, ta_p, True, 4),
+        ("another authority's record", key_p, ta_q, False, 2),
+        ("s0 and s1 swapped", replace(key_p, s0=key_p.s1, s1=key_p.s0), ta_p, False, 2),
+        ("s1 from another authority", replace(key_p, s1=key_q.s1), ta_p, False, 4),
+    ]
+    for name, key, ta, answer, spent in cases:
+        assert _checked(e, scheme.key_is_well_formed, key, ta) == (answer, spent), name
 
 
 def test_two_tas_same_identity_different_certs(mock_engine):
