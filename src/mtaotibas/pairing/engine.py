@@ -11,18 +11,23 @@ class PairingEngine:
     """A Type-3 pairing e: G1 x G2 -> GT on groups of prime order ``order``,
     with hashing, canonical encodings and a pairing counter.
 
-    Elements are immutable: ``a * b`` is the group law, ``a ** k`` and
-    ``a.inverse()`` the rest, and ``g1_product`` a product of powers in G1.
+    Elements are immutable and compare with ``==``. G1 has the full group
+    law: ``a * b``, ``a ** k``, ``a.inverse()``, and ``g1_product`` for a
+    product of powers. G2 offers ``r ** k`` (key generation), and GT only
+    ``==``: every pairing equation is checked as one ``multi_pair`` product
+    compared with ``identity_gt``, with the inverses taken in G1. The mock
+    backend, the tests' oracle, gives all three groups the full law.
+
     A subclass sets ``backend`` (named in envelopes), ``order``, the element
     classes ``G1``/``G2``, the widths ``scalar_bytes``/``g1_bytes``/
     ``g2_bytes``, the generators ``g1``/``g2`` and the identities
-    ``identity_g1``/``identity_g2``/``identity_gt``. It provides ``pair``
-    and ``multi_pair`` (both passing their terms through ``_counted``),
-    ``hash_to_g1``, ``_encode_g1``/``_encode_g2`` and ``decode_g1``/
-    ``decode_g2``, which reject all but canonical encodings of subgroup
-    elements; ``psi`` (G2 -> G1) only where the backend has one; and may
-    replace ``g1_product``'s loop of ``*`` and ``**`` with a faster kernel
-    that passes its bases through ``_g1_terms``.
+    ``identity_g1``/``identity_g2``/``identity_gt``. It provides
+    ``multi_pair`` (passing its terms through ``_counted``), ``hash_to_g1``,
+    ``_encode_g1``/``_encode_g2`` and ``decode_g1``/``decode_g2``, which
+    reject all but canonical encodings of subgroup elements; ``psi``
+    (G2 -> G1) only where the backend has one; and may replace
+    ``g1_product``'s loop of ``*`` and ``**`` with a faster kernel that
+    passes its bases through ``_g1_terms``.
 
     Apart from the counter, which one lock guards and which adds one per
     pairing term, an engine is immutable and can be shared across threads.
@@ -49,6 +54,10 @@ class PairingEngine:
         with self._count_lock:
             self._pairing_count += len(terms)
         return terms
+
+    def pair(self, p, r):
+        """e(p, r), as the one-term product."""
+        return self.multi_pair([(p, r)])
 
     def g1_product(self, pairs):
         """The product of ``base ** k`` over (base, k) pairs whose bases are

@@ -111,10 +111,6 @@ class MockEngine(PairingEngine):
 
     # -- pairing ---------------------------------------------------------
 
-    def pair(self, p: MockG1, r: MockG2) -> MockGT:
-        self._counted([(p, r)])
-        return MockGT(p.value * r.value)
-
     def multi_pair(self, terms) -> MockGT:
         return MockGT(sum(p.value * r.value for p, r in self._counted(terms)))
 

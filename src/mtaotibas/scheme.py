@@ -176,9 +176,9 @@ def lowerlevel_setup(engine, params: SystemParams, master: MasterSecret, ta_iden
 
 def verify_certificate(engine, params: SystemParams, ta: TARecord) -> bool:
     """Check the root's signature on an authority record:
-    pair(cert, g2) == pair(cert-hash(payload), y)."""
+    pair(cert^-1, g2) * pair(cert-hash(payload), y) == 1."""
     h = engine_hashes(engine).cert_point(ta.payload(engine))
-    return engine.pair(ta.cert, engine.g2) == engine.pair(h, params.y)
+    return engine.multi_pair([(ta.cert.inverse(), engine.g2), (h, params.y)]) == engine.identity_gt
 
 
 def extract(engine, ta_secret: TASecret, ta: TARecord, signer_id: bytes) -> SignerKey:
@@ -199,11 +199,12 @@ def extract(engine, ta_secret: TASecret, ta: TARecord, signer_id: bytes) -> Sign
 def key_is_well_formed(engine, key: SignerKey, ta: TARecord,
                        hashes: Optional[HashSuite] = None) -> bool:
     """Public check that both key components are consistent with the
-    authority's public key: pair(s_b, g2) == pair(H0(id, b), y_i)."""
+    authority's public key: pair(s_b^-1, g2) * pair(H0(id, b), y_i) == 1,
+    for b = 0 and then b = 1."""
     hashes = hashes or engine_hashes(engine)
     for bit, s in ((0, key.s0), (1, key.s1)):
         idb = hashes.identity_point(key.signer_id, bit)
-        if engine.pair(s, engine.g2) != engine.pair(idb, ta.y_i):
+        if engine.multi_pair([(s.inverse(), engine.g2), (idb, ta.y_i)]) != engine.identity_gt:
             return False
     return True
 
