@@ -113,14 +113,14 @@ class KeyStore:
         # called after a use record is durably on disk, before the signature
         # is returned; tests inject crashes here
         self.after_persist_hook = None
-        existing = os.path.exists(self.path) and os.path.getsize(self.path) > 0
         self._fh = open(self.path, "a+b")
         try:
             fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError as exc:
             self._fh.close()
             raise StoreLocked(f"journal {self.path} is locked by another process") from exc
-        if existing:
+        # sized under the lock: another store may create the journal up to then
+        if os.fstat(self._fh.fileno()).st_size > 0:
             try:
                 self._replay()
             except BaseException:

@@ -3,6 +3,7 @@ import random
 import shutil
 import struct
 import threading
+import warnings
 import zlib
 from pathlib import Path
 
@@ -334,6 +335,35 @@ def test_file_lock_excludes_second_writer(setup):
     with KeyStore(path, eng):
         with pytest.raises(StoreLocked):
             KeyStore(path, eng)
+
+
+def test_journal_created_while_opening_is_replayed(setup, fixed_scenario, monkeypatch):
+    # another store creates the journal between this store's open and its
+    # lock; this store must replay that journal, not write a second header
+    eng, trec, key, path = setup
+    bob = fixed_scenario["keys"][b"ID-B"]
+    real_flock = keystore.fcntl.flock
+    raced = []
+
+    def flock(fd, op):
+        if not raced:
+            raced.append(True)
+            with KeyStore(path, eng) as first:
+                first.sign_once(first.store_key(key), trec, b"message-1")
+        return real_flock(fd, op)
+
+    monkeypatch.setattr(keystore.fcntl, "flock", flock)
+    with KeyStore(path, eng) as second:
+        bob_id = second.store_key(bob)
+    monkeypatch.undo()
+    assert raced
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with KeyStore(path, eng) as store:
+            entries = store.entries()
+    assert {e.key.signer_id: e.status for e in entries.values()} == {
+        b"ID-A": STATUS_USED, b"ID-B": STATUS_FRESH}
+    assert entries[bob_id].key == bob
 
 
 def test_concurrent_contenders_single_winner(setup):
