@@ -8,6 +8,7 @@ signature, 2 malformed input or usage error, 3 one-time violation.
 """
 
 import functools
+import itertools
 import json
 import random
 import sys
@@ -24,6 +25,9 @@ EXIT_VALID = 0
 EXIT_INVALID = 1
 EXIT_MALFORMED = 2
 EXIT_ONE_TIME = 3
+
+_COUNT = click.IntRange(min=0)
+_POSITIVE = click.IntRange(min=1)
 
 _BOUND_GRID = (0, 1, 5, 10, 50)
 
@@ -278,6 +282,8 @@ def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcr
     """Replay a JSON workload script against a fresh challenger."""
     from .harness import Challenger, CoCDHInstance, check_workload, optimal_delta, run_workload
 
+    if (planted_a is None) != (planted_b is None):
+        raise click.UsageError("give both --planted-a and --planted-b, or neither")
     engine = obj.engine
     with open(workload_path, "r", encoding="utf-8") as fh:
         ops = check_workload(json.load(fh))
@@ -287,7 +293,7 @@ def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcr
         q_e = sum(1 for o in ops if o.get("op") == "extract")
         q_s = sum(1 for o in ops if o.get("op") == "sign")
         delta = optimal_delta(q_c, q_e, q_s, 0)
-    if planted_a is not None and planted_b is not None:
+    if planted_a is not None:
         instance = CoCDHInstance(engine.g1 ** planted_a, engine.g2 ** planted_b,
                                  planted_a, planted_b)
     else:
@@ -303,10 +309,10 @@ def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcr
 
 
 @harness.command("bound-check")
-@click.option("--qc", type=int, default=None)
-@click.option("--qe", type=int, default=None)
-@click.option("--qs", type=int, default=None)
-@click.option("--n", type=int, default=None)
+@click.option("--qc", type=_COUNT, default=None)
+@click.option("--qe", type=_COUNT, default=None)
+@click.option("--qs", type=_COUNT, default=None)
+@click.option("--n", type=_COUNT, default=None)
 @click.option("--grid", is_flag=True,
               help=f"Check every point of the {_BOUND_GRID} query grid instead of one point.")
 @cli_errors
@@ -317,17 +323,14 @@ def cmd_bound_check(qc, qe, qs, n, grid):
     if grid:
         worst = None
         points = 0
-        for a in _BOUND_GRID:
-            for b in _BOUND_GRID:
-                for c in _BOUND_GRID:
-                    for d in _BOUND_GRID:
-                        rep = bound_check(a, b, c, d)
-                        points += 1
-                        if not rep["holds"]:
-                            _fail(EXIT_INVALID, f"bound fails at {rep}")
-                        margin = rep["lhs_max"] - rep["rhs"]
-                        if worst is None or margin < worst[0]:
-                            worst = (margin, rep)
+        for point in itertools.product(_BOUND_GRID, repeat=4):
+            rep = bound_check(*point)
+            points += 1
+            if not rep["holds"]:
+                _fail(EXIT_INVALID, f"bound fails at {rep}")
+            margin = rep["lhs_max"] - rep["rhs"]
+            if worst is None or margin < worst[0]:
+                worst = (margin, rep)
         emit({"points": points, "all_hold": True, "tightest": worst[1]})
         return
     if None in (qc, qe, qs, n):
@@ -340,12 +343,12 @@ def cmd_bound_check(qc, qe, qs, n, grid):
 
 @harness.command("monte-carlo")
 @click.option("--delta", type=float, required=True)
-@click.option("--qc", type=int, default=5, show_default=True)
-@click.option("--qe", type=int, default=5, show_default=True)
-@click.option("--qs", type=int, default=5, show_default=True)
-@click.option("--trials", type=int, default=100_000, show_default=True)
+@click.option("--qc", type=_COUNT, default=5, show_default=True)
+@click.option("--qe", type=_COUNT, default=5, show_default=True)
+@click.option("--qs", type=_COUNT, default=5, show_default=True)
+@click.option("--trials", type=_POSITIVE, default=100_000, show_default=True)
 @click.option("--seed", "mc_seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=int, default=None)
+@click.option("--jobs", type=_POSITIVE, default=None)
 @cli_errors
 def cmd_monte_carlo(delta, qc, qe, qs, trials, mc_seed, jobs):
     """Estimate the no-abort probability for the standard workload."""

@@ -244,6 +244,36 @@ def test_harness_monte_carlo_small(workdir):
     assert rep["passes"] is True
 
 
+_BOUND = ["harness", "bound-check", "--qc", "0", "--qe", "0", "--qs", "0", "--n", "0"]
+_MONTE_CARLO = ["harness", "monte-carlo", "--delta", "0.1", "--trials", "10", "--jobs", "1"]
+_HARNESS_RUN = MOCK + ["harness", "run", "--workload", "workload.json"]
+
+
+@pytest.mark.parametrize("args, option", [
+    (_BOUND + ["--qc", "-2"], "--qc"),
+    (_BOUND + ["--qc", "-1"], "--qc"),
+    (_BOUND + ["--qe", "-1"], "--qe"),
+    (_BOUND + ["--qs", "-1"], "--qs"),
+    (_BOUND + ["--n", "-1"], "--n"),
+    (_MONTE_CARLO + ["--jobs", "-1"], "--jobs"),
+    (_MONTE_CARLO + ["--jobs", "0"], "--jobs"),
+    (_MONTE_CARLO + ["--trials", "0"], "--trials"),
+    (_MONTE_CARLO + ["--trials", "-5"], "--trials"),
+    (_MONTE_CARLO + ["--qc", "-1"], "--qc"),
+    (_MONTE_CARLO + ["--qe", "-1"], "--qe"),
+    (_MONTE_CARLO + ["--qs", "-1"], "--qs"),
+    (_HARNESS_RUN + ["--planted-a", "5"], "--planted-b"),
+    (_HARNESS_RUN + ["--planted-b", "5"], "--planted-a"),
+])
+def test_harness_bad_numeric_input_exits_2(workdir, args, option):
+    # the last option given wins, so each case overrides one valid value
+    Path("workload.json").write_text(json.dumps(_WORKLOAD))
+    result = run(CliRunner(), args)  # any exception but SystemExit fails here
+    assert result.exit_code == 2, result.output
+    assert option in result.stderr
+    assert "Traceback" not in result.output
+
+
 # -- wrongly typed JSON --------------------------------------------------------
 
 _WORKLOAD = [
