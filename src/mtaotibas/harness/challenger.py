@@ -188,6 +188,15 @@ class Challenger:
         self.h1_list[key] = rec
         return rec
 
+    def _key_components(self, h0: H0Record, ta: TASimRecord):
+        """(s0, s1) for a signer whose extract did not abort."""
+        if ta.coin == 0:
+            return h0.id0 ** ta.kappa_i, h0.id1 ** ta.kappa_i
+        # y = B^kappa and id_b = g1^alpha_b, so s_b = psi(B^(kappa*alpha_b))
+        q = self.engine.order
+        return tuple(self.engine.psi(self.instance.b_elt ** (ta.kappa_i * alpha % q))
+                     for alpha in (h0.alpha0, h0.alpha1))
+
     # -- the adversary-facing oracles ---------------------------------------
 
     def oracle_h0(self, identity: bytes, bit: int):
@@ -224,14 +233,7 @@ class Challenger:
         h0 = self._h0(identity)
         if h0.coin == 1 and ta.coin == 1:
             self._abort("extract", "both coins planted")
-        if ta.coin == 0:
-            s0 = h0.id0 ** ta.kappa_i
-            s1 = h0.id1 ** ta.kappa_i
-        else:
-            # y = B^kappa and id_b = g1^alpha_b, so s_b = psi(B^(kappa*alpha_b))
-            q = self.engine.order
-            s0 = self.engine.psi(self.instance.b_elt ** (ta.kappa_i * h0.alpha0 % q))
-            s1 = self.engine.psi(self.instance.b_elt ** (ta.kappa_i * h0.alpha1 % q))
+        s0, s1 = self._key_components(h0, ta)
         self.exponentiations["extract"] += 2
         return scheme.SignerKey(
             signer_id=identity,
@@ -256,12 +258,7 @@ class Challenger:
             exponent = ta.kappa_i * (h0.alpha0 + h1.h * h0.alpha1) % q
             self.exponentiations["sign"] += 1
             return scheme.Signature(sigma=self.engine.psi(self.instance.b_elt ** exponent))
-        if ta.coin == 0:
-            s0 = h0.id0 ** ta.kappa_i
-            s1 = h0.id1 ** ta.kappa_i
-        else:
-            s0 = self.engine.psi(self.instance.b_elt ** (ta.kappa_i * h0.alpha0 % q))
-            s1 = self.engine.psi(self.instance.b_elt ** (ta.kappa_i * h0.alpha1 % q))
+        s0, s1 = self._key_components(h0, ta)
         self.exponentiations["sign"] += 3
         return scheme.Signature(sigma=self.engine.g1_product([(s0, 1), (s1, h1.h)]))
 
