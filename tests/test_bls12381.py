@@ -192,17 +192,63 @@ def test_scalar_encoding(bls_engine):
         e.decode_scalar(e.order.to_bytes(32, "big"))
 
 
-def test_decode_rejects_malformed(bls_engine):
+def _framed(flags, coords):
+    # the wire form: 48-byte big-endian coordinates, flags in the top bits
+    raw = bytearray(b"".join(int(c).to_bytes(48, "big") for c in coords))
+    raw[0] |= flags
+    return bytes(raw)
+
+
+def _wire_x(data):
+    # the x coordinates of an encoding in wire order, flags cleared
+    data = bytes([data[0] & 0x1F]) + data[1:]
+    return [int.from_bytes(data[i:i + 48], "big") for i in range(0, len(data), 48)]
+
+
+def _x_off_curve(group):
+    # the first small x with no y, as wire-order coordinates
+    p = curve.PRIME
+    for k in range(1, 100):
+        if group == "g1" and curve._fq_sqrt((k**3 + 4) % p) is None:
+            return [k]
+        x = (curve.mpz(k), curve.mpz(0))
+        rhs = curve.fq2_add(curve.fq2_mul(curve.fq2_sqr(x), x), (curve.mpz(4), curve.mpz(4)))
+        if group == "g2" and curve._fq2_sqrt(rhs) is None:
+            return [0, k]
+    raise AssertionError("no x off the curve below 100")
+
+
+@pytest.mark.parametrize("group", ["g1", "g2"])
+def test_decode_rejects_malformed(bls_engine, group):
     e = bls_engine
-    with pytest.raises(InvalidElement):
-        e.decode_g1(bytes(48))  # compression flag missing
-    with pytest.raises(InvalidElement):
-        e.decode_g1(bytes([0x80]) + bytes(46))  # wrong length
-    # x not on the curve: flip bits until decode must fail structurally
-    good = bytearray(e.encode_g1(e.g1 ** 5))
-    good[-1] ^= 0xFF
-    with pytest.raises(InvalidElement):
-        e.decode_g1(bytes(good))
+    encode, decode = getattr(e, f"encode_{group}"), getattr(e, f"decode_{group}")
+    gen, p = getattr(e, group), int(curve.PRIME)
+    # a subgroup point whose x coordinates stay below 2^381 with p added
+    k = 5
+    while max(_wire_x(encode(gen ** k))) >= (1 << 381) - p:
+        k += 1
+    good = encode(gen ** k)
+    xs = _wire_x(good)
+    zeros = [0] * len(xs)
+    cases = {
+        "too short": good[:-1],
+        "too long": good + b"\x00",
+        "compression bit clear": bytes([good[0] & 0x7F]) + good[1:],
+        "identity, sign bit set": _framed(0xE0, zeros),
+        "x off the curve": _framed(0x80, _x_off_curve(group)),
+    }
+    for i in range(len(xs)):  # each coordinate in turn (c1 then c0 for G2)
+        cases[f"identity, x nonzero at {i}"] = _framed(0xC0, zeros[:i] + [1] + zeros[i + 1:])
+        cases[f"x = p at {i}"] = _framed(0x80, zeros[:i] + [p] + zeros[i + 1:])
+        cases[f"x + p at {i}"] = _framed(good[0] & 0xE0, xs[:i] + [xs[i] + p] + xs[i + 1:])
+    for name, data in cases.items():
+        with pytest.raises(InvalidElement):
+            decode(data)
+            pytest.fail(f"{name}: decoded")
+    # P and -P differ only in the sign bit, and each decodes back
+    pos, neg = gen ** k, gen ** (e.order - k)
+    assert encode(pos)[0] ^ encode(neg)[0] == 0x20 and encode(pos)[1:] == encode(neg)[1:]
+    assert decode(encode(pos)) == pos and decode(encode(neg)) == neg
 
 
 def test_decode_rejects_wrong_subgroup():
