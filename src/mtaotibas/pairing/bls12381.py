@@ -15,6 +15,15 @@ integer identity checked in the test suite. Cubing the reduced pairing
 preserves bilinearity and non-degeneracy, so all protocol equations are
 unaffected; only raw GT byte values differ from other libraries.
 
+Points are encoded compressed, in the zcash style: x as 48-byte big-endian
+Fq coordinates (an Fq2 x as c1 then c0, so G1 takes 48 bytes and G2 96),
+with three flags in the top bits of the first byte. 0x80 marks the
+compressed form and is always set; 0x40 marks the identity, whose other
+bits are all zero; 0x20 is set when y is the larger of y and -y, comparing
+coordinates in that same order. Decoding checks, in order, the length, the
+compression flag, the identity form, x < p, the curve and the subgroup,
+and raises InvalidElement at the first failure.
+
 There is no efficiently computable G2->G1 isomorphism here, so psi is
 unsupported on this backend.
 """
@@ -40,7 +49,6 @@ ORDER = 0x73EDA753299D7D483339D80809A1D80553BDA402FFFE5BFEFFFFFFFF00000001
 X_CURVE = -0xD201000000010000  # BLS parameter; r = x^4 - x^2 + 1
 ABS_X = -X_CURVE
 H_EFF_G1 = 0xD201000000010001  # 1 - x, effective G1 cofactor multiplier
-_HALF = (PRIME - 1) // 2
 _SQRT_EXP = (PRIME + 1) // 4  # p = 3 mod 4
 _X_BITS = [int(b) for b in bin(ABS_X)[3:]]  # bits after the MSB
 
@@ -721,104 +729,108 @@ def hash_to_g1_point(tag: bytes, data: bytes):
 
 
 # ---------------------------------------------------------------------------
-# Canonical encodings (compressed points, zcash-style flag bits)
+# Canonical encodings, in the compressed form of the module docstring
 
 
-def _fq_to_bytes(v):
-    return int(v).to_bytes(48, "big")
+class _PointCodec:
+    """The compressed form of one group's points: the framing is written
+    once here, and the group supplies the order of its x coordinates on the
+    wire (``to_wire`` and its inverse ``from_wire``), the recovery of y from
+    x (None when x is off the curve) and its membership check."""
+
+    def __init__(self, group, width, to_wire, from_wire, y_from_x, in_subgroup):
+        self.group, self.width = group, width
+        self.to_wire, self.from_wire = to_wire, from_wire
+        self.y_from_x, self.in_subgroup = y_from_x, in_subgroup
+
+    def _neg(self, v):
+        return self.from_wire(tuple(-c % PRIME for c in self.to_wire(v)))
+
+    def _larger(self, y) -> bool:
+        # the sign rule: y is the larger of y and -y, compared in wire order
+        return self.to_wire(y) > self.to_wire(self._neg(y))
+
+    def encode(self, pt) -> bytes:
+        if pt is None:
+            return bytes([0xC0]) + bytes(self.width - 1)
+        x, y = pt
+        raw = bytearray(b"".join(int(c).to_bytes(48, "big") for c in self.to_wire(x)))
+        raw[0] |= 0x80 | (0x20 if self._larger(y) else 0)
+        return bytes(raw)
+
+    def decode(self, data: bytes):
+        group = self.group
+        if len(data) != self.width:
+            raise InvalidElement(f"{group} encodings are {self.width} bytes")
+        flags = data[0] & 0xE0
+        if not flags & 0x80:
+            raise InvalidElement(f"uncompressed {group} encodings not supported")
+        body = bytes([data[0] & 0x1F]) + data[1:]
+        wire = tuple(int.from_bytes(body[i:i + 48], "big") for i in range(0, self.width, 48))
+        if flags & 0x40:
+            if any(wire) or flags & 0x20:
+                raise InvalidElement(f"malformed {group} identity encoding")
+            return None
+        if max(wire) >= PRIME:
+            raise InvalidElement(f"{group} x coordinate out of range")
+        x = self.from_wire(tuple(mpz(c) for c in wire))
+        y = self.y_from_x(x)
+        if y is None:
+            raise InvalidElement(f"{group} x coordinate not on the curve")
+        if bool(flags & 0x20) != self._larger(y):
+            y = self._neg(y)
+        pt = (x, y)
+        if not self.in_subgroup(pt):
+            raise InvalidElement(f"{group} point outside the prime-order subgroup")
+        return pt
 
 
-def encode_g1_point(pt) -> bytes:
-    if pt is None:
-        return bytes([0xC0]) + bytes(47)
-    x, y = pt
-    flags = 0x80 | (0x20 if y > _HALF else 0)
-    raw = bytearray(_fq_to_bytes(x))
-    raw[0] |= flags
-    return bytes(raw)
-
-
-def decode_g1_point(data: bytes):
-    if len(data) != 48:
-        raise InvalidElement("G1 encodings are 48 bytes")
-    flags = data[0] & 0xE0
-    if not flags & 0x80:
-        raise InvalidElement("uncompressed G1 encodings not supported")
-    body = bytes([data[0] & 0x1F]) + data[1:]
-    x = int.from_bytes(body, "big")
-    if flags & 0x40:
-        if x != 0 or flags & 0x20:
-            raise InvalidElement("malformed G1 identity encoding")
-        return None
-    if x >= PRIME:
-        raise InvalidElement("G1 x coordinate out of range")
-    y = _fq_sqrt((x * x * x + 4) % PRIME)
-    if y is None:
-        raise InvalidElement("G1 x coordinate not on the curve")
-    if bool(flags & 0x20) != (y > _HALF):
-        y = -y % PRIME
-    pt = (mpz(x), mpz(y))
-    if not g1_in_subgroup(pt):
-        raise InvalidElement("G1 point outside the prime-order subgroup")
-    return pt
-
-
-def encode_g2_point(pt) -> bytes:
-    if pt is None:
-        return bytes([0xC0]) + bytes(95)
-    (x0, x1), (y0, y1) = pt
-    larger = (int(y1), int(y0)) > (int(-y1 % PRIME), int(-y0 % PRIME))
-    flags = 0x80 | (0x20 if larger else 0)
-    raw = bytearray(_fq_to_bytes(x1) + _fq_to_bytes(x0))
-    raw[0] |= flags
-    return bytes(raw)
-
-
-def decode_g2_point(data: bytes):
-    if len(data) != 96:
-        raise InvalidElement("G2 encodings are 96 bytes")
-    flags = data[0] & 0xE0
-    if not flags & 0x80:
-        raise InvalidElement("uncompressed G2 encodings not supported")
-    body = bytes([data[0] & 0x1F]) + data[1:]
-    x1 = int.from_bytes(body[:48], "big")
-    x0 = int.from_bytes(body[48:], "big")
-    if flags & 0x40:
-        if x0 != 0 or x1 != 0 or flags & 0x20:
-            raise InvalidElement("malformed G2 identity encoding")
-        return None
-    if x0 >= PRIME or x1 >= PRIME:
-        raise InvalidElement("G2 x coordinate out of range")
-    x = (mpz(x0), mpz(x1))
-    y = _fq2_sqrt(fq2_add(fq2_mul(fq2_sqr(x), x), _B2))
-    if y is None:
-        raise InvalidElement("G2 x coordinate not on the curve")
-    larger = (int(y[1]), int(y[0])) > (int(-y[1] % PRIME), int(-y[0] % PRIME))
-    if bool(flags & 0x20) != larger:
-        y = fq2_neg(y)
-    pt = (x, y)
-    if not g2_in_subgroup(pt):
-        raise InvalidElement("G2 point outside the prime-order subgroup")
-    return pt
+_G1_CODEC = _PointCodec(
+    "G1", 48, lambda v: (v,), lambda c: c[0],
+    lambda x: _fq_sqrt((x * x * x + 4) % PRIME), g1_in_subgroup,
+)
+_G2_CODEC = _PointCodec(
+    "G2", 96, lambda v: (v[1], v[0]), lambda c: (c[1], c[0]),
+    lambda x: _fq2_sqrt(fq2_add(fq2_mul(fq2_sqr(x), x), _B2)), g2_in_subgroup,
+)
+encode_g1_point, decode_g1_point = _G1_CODEC.encode, _G1_CODEC.decode
+encode_g2_point, decode_g2_point = _G2_CODEC.encode, _G2_CODEC.decode
 
 
 def encode_gt_value(f) -> bytes:
     (c0, c2, c4), (c1, c3, c5) = f
-    out = bytearray()
-    for pair in (c0, c2, c4, c1, c3, c5):
-        out += _fq_to_bytes(pair[0]) + _fq_to_bytes(pair[1])
-    return bytes(out)
+    return b"".join(int(v).to_bytes(48, "big") for pair in (c0, c2, c4, c1, c3, c5) for v in pair)
 
 
 # ---------------------------------------------------------------------------
 # Element wrappers and the engine
 
 
-class G1Point:
+class _Element:
+    """A group element wrapping ``pt``: an affine point (None = identity)
+    for G1 and G2, an Fq12 value for GT. Elements compare by their
+    canonical encoding, ``_encode``, which each group sets."""
+
     __slots__ = ("pt",)
 
     def __init__(self, pt):
         self.pt = pt
+
+    def __eq__(self, other):
+        # verification accept/reject hinges on this comparison; keep it
+        # data-independent
+        return type(other) is type(self) and hmac.compare_digest(self._encode(self.pt), other._encode(other.pt))
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.pt))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._encode(self.pt).hex()})"
+
+
+class G1Point(_Element):
+    __slots__ = ()
+    _encode = staticmethod(encode_g1_point)
 
     def __mul__(self, other):
         if type(other) is not G1Point:
@@ -831,58 +843,18 @@ class G1Point:
     def inverse(self):
         return G1Point(g1_neg(self.pt))
 
-    def __eq__(self, other):
-        # data-independent comparison over canonical encodings
-        return type(other) is G1Point and hmac.compare_digest(
-            encode_g1_point(self.pt), encode_g1_point(other.pt)
-        )
 
-    def __hash__(self):
-        return hash(("G1", self.pt))
-
-    def __repr__(self):
-        return f"G1Point({encode_g1_point(self.pt).hex()})"
-
-
-class G2Point:
-    __slots__ = ("pt",)
-
-    def __init__(self, pt):
-        self.pt = pt
+class G2Point(_Element):
+    __slots__ = ()
+    _encode = staticmethod(encode_g2_point)
 
     def __pow__(self, k: int):
         return G2Point(g2_mul(self.pt, k))
 
-    def __eq__(self, other):
-        return type(other) is G2Point and hmac.compare_digest(
-            encode_g2_point(self.pt), encode_g2_point(other.pt)
-        )
 
-    def __hash__(self):
-        return hash(("G2", self.pt))
-
-    def __repr__(self):
-        return f"G2Point({encode_g2_point(self.pt).hex()})"
-
-
-class GTElement:
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        self.f = f
-
-    def __eq__(self, other):
-        # verification accept/reject hinges on this comparison; keep it
-        # data-independent
-        return type(other) is GTElement and hmac.compare_digest(
-            encode_gt_value(self.f), encode_gt_value(other.f)
-        )
-
-    def __hash__(self):
-        return hash(("GT", self.f))
-
-    def __repr__(self):
-        return f"GTElement({encode_gt_value(self.f)[:8].hex()}...)"
+class GTElement(_Element):
+    __slots__ = ()
+    _encode = staticmethod(encode_gt_value)
 
 
 class Bls12381Engine(PairingEngine):

@@ -14,12 +14,12 @@ from conftest import off_subgroup_g1_point
 def _bilinearity_worker(args):
     lo, hi = args
     e = get_engine("production")
-    base = e.pair(e.g1, e.g2).f
+    base = e.pair(e.g1, e.g2).pt
     for t in range(lo, hi):
         rng = random.Random(0xB111 + t)
         a = rng.randrange(1, e.order)
         b = rng.randrange(1, e.order)
-        if e.pair(e.g1 ** a, e.g2 ** b).f != curve.fq12_pow(base, a * b % e.order):
+        if e.pair(e.g1 ** a, e.g2 ** b).pt != curve.fq12_pow(base, a * b % e.order):
             return t
     return -1
 
@@ -53,7 +53,7 @@ def test_bilinearity_sampled(bls_engine):
     for _ in range(10):
         a = rng.randrange(1, e.order)
         b = rng.randrange(1, e.order)
-        assert e.pair(e.g1 ** a, e.g2 ** b).f == curve.fq12_pow(base.f, a * b % e.order)
+        assert e.pair(e.g1 ** a, e.g2 ** b).pt == curve.fq12_pow(base.pt, a * b % e.order)
 
 
 def test_bilinearity_1000_random_pairs():
@@ -80,8 +80,8 @@ def test_multi_pair_equals_product_and_counts(bls_engine):
     assert e.pairing_count - before == 3
     product = curve.FQ12_ONE
     for p, q in terms:
-        product = curve.fq12_mul(product, e.pair(p, q).f)
-    assert combined.f == product
+        product = curve.fq12_mul(product, e.pair(p, q).pt)
+    assert combined.pt == product
     assert e.multi_pair(list(reversed(terms))) == combined
     with pytest.raises(EmptyInput):
         e.multi_pair([])
@@ -141,7 +141,7 @@ def test_group_axioms(bls_engine):
     assert x * x.inverse() == e.identity_g1
     assert e.g1 ** e.order == e.identity_g1
     assert e.g2 ** e.order == e.identity_g2
-    gt = e.pair(e.g1, e.g2).f
+    gt = e.pair(e.g1, e.g2).pt
     assert curve.fq12_mul(gt, curve.fq12_conj(gt)) == curve.FQ12_ONE
     assert curve.fq12_pow(gt, e.order) == curve.FQ12_ONE
 
