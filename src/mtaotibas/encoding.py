@@ -31,9 +31,8 @@ def expand_bytes(tag: bytes, data: bytes, n: int) -> bytes:
     return bytes(out[:n])
 
 
-def hash_to_int_wide(tag: bytes, data: bytes, modulus: int, extra_bits: int = 128) -> int:
-    """Reduce an expanded byte stream of >= bitlen(modulus)+extra_bits bits
-    modulo ``modulus``. The widening keeps the reduction bias below
-    2**-extra_bits."""
-    nbytes = (modulus.bit_length() + extra_bits + 7) // 8
+def hash_to_int_wide(tag: bytes, data: bytes, modulus: int) -> int:
+    """Reduce an expanded byte stream of >= bitlen(modulus)+128 bits modulo
+    ``modulus``. The widening keeps the reduction bias below 2**-128."""
+    nbytes = (modulus.bit_length() + 128 + 7) // 8
     return int.from_bytes(expand_bytes(tag, data, nbytes), "big") % modulus

@@ -20,6 +20,9 @@ from .. import scheme
 from ..errors import GiveUp, UnsupportedOperation
 from .challenger import Challenger
 
+_BACKGROUND_SIGNERS = 2  # unplanted signers beside the target
+_BACKGROUND_TAS = 1  # authorities beside the target's
+
 
 @dataclass
 class Forgery:
@@ -42,7 +45,6 @@ def _sample(ch: Challenger, label: str, attempts: int, fresh, want) -> object:
 
 
 def scripted_forger(ch: Challenger, rng: Optional[random.Random] = None,
-                    n_extra: int = 2, extra_tas: int = 1,
                     max_attempts: int = 256) -> Forgery:
     """Drive the challenger's oracles until the coin pattern occurs, then
     assemble a verifying aggregate forgery from mock discrete logs."""
@@ -86,14 +88,14 @@ def scripted_forger(ch: Challenger, rng: Optional[random.Random] = None,
     # background signers: unplanted identities spread over the target
     # authority and a few extra ones (their coins are unconstrained)
     background = []
-    attempts_left = max_attempts * max(n_extra, 1)
+    attempts_left = max_attempts * _BACKGROUND_SIGNERS
     extra_names = []
-    for j in range(extra_tas):
+    for j in range(_BACKGROUND_TAS):
         name = f"forge-bgta-{tag}-{j}".encode()
         ch.oracle_lowerlevel_setup(name)
         extra_names.append(name)
     k = 0
-    while len(background) < n_extra:
+    while len(background) < _BACKGROUND_SIGNERS:
         if k >= attempts_left:
             raise GiveUp(f"no unplanted identity after {attempts_left} attempts")
         name = f"forge-bgid-{tag}-{k}".encode()
