@@ -283,7 +283,6 @@ class Challenger:
 
         groups = []  # (TASimRecord, [(H0Record, H1SimRecord)])
         found = None
-        total_index = 0
         for gi, (ta_record, signers) in enumerate(bundle.groups):
             cert_b = ta_record.cert_bytes(self.engine)
             ta = self.ta_by_cert.get(cert_b)
@@ -298,7 +297,6 @@ class Challenger:
                     if found is not None:
                         self._abort("forgery", "more than one planted identity in forgery")
                     found = (gi, si, ta, h0, h1)
-                total_index += 1
             groups.append((ta, members))
 
         if found is None:

@@ -21,14 +21,24 @@ from ..envelopes import member
 from ..errors import MalformedEnvelope, ReductionAbort, UnknownCertificate
 from .challenger import Challenger
 
-# the string members each operation names
-_MEMBERS = {
-    "h0": ("id",),
-    "h1": ("id", "message", "ta"),
-    "lowerlevel_setup": ("ta",),
-    "corrupt": ("ta",),
-    "extract": ("id", "ta"),
-    "sign": ("id", "message", "ta"),
+
+def _h1(ch: Challenger, op: dict) -> None:
+    ta = ch.ta_list.get(op["ta"].encode())
+    if ta is None:
+        raise UnknownCertificate(f"workload queried h1 for authority {op['ta']!r} before setting it up")
+    ch.oracle_h1(op["id"].encode(), op["message"].encode(), ta.record.cert_bytes(ch.engine))
+
+
+# each operation: the string members it names, and how it runs against a
+# challenger
+_OPS = {
+    "h0": (("id",), lambda ch, op: ch.oracle_h0(op["id"].encode(), int(op.get("bit", 0)))),
+    "h1": (("id", "message", "ta"), _h1),
+    "lowerlevel_setup": (("ta",), lambda ch, op: ch.oracle_lowerlevel_setup(op["ta"].encode())),
+    "corrupt": (("ta",), lambda ch, op: ch.oracle_corrupt(op["ta"].encode())),
+    "extract": (("id", "ta"), lambda ch, op: ch.oracle_extract(op["id"].encode(), op["ta"].encode())),
+    "sign": (("id", "message", "ta"),
+             lambda ch, op: ch.oracle_sign(op["id"].encode(), op["message"].encode(), op["ta"].encode())),
 }
 
 
@@ -41,9 +51,10 @@ def check_workload(ops) -> List[dict]:
         raise MalformedEnvelope("workload must be a JSON list of operations")
     for op in ops:
         kind = member(op, "op", str, "workload operation")
-        if kind not in _MEMBERS:
+        if kind not in _OPS:
             raise MalformedEnvelope(f"unknown workload op {kind!r}")
-        for key in _MEMBERS[kind]:
+        members, _ = _OPS[kind]
+        for key in members:
             member(op, key, str, f"workload {kind} operation")
         if kind == "h0":
             bit = op.get("bit", 0)
@@ -64,28 +75,9 @@ def run_workload(ch: Challenger, ops: List[dict]) -> dict:
     abort_site: Optional[str] = None
     abort_detail = ""
     for op in ops:
-        kind = op.get("op")
         try:
-            if kind == "h0":
-                ch.oracle_h0(op["id"].encode(), int(op.get("bit", 0)))
-            elif kind == "h1":
-                ta = ch.ta_list.get(op["ta"].encode())
-                if ta is None:
-                    raise UnknownCertificate(
-                        f"workload queried h1 for authority {op['ta']!r} before setting it up"
-                    )
-                ch.oracle_h1(op["id"].encode(), op["message"].encode(),
-                             ta.record.cert_bytes(ch.engine))
-            elif kind == "lowerlevel_setup":
-                ch.oracle_lowerlevel_setup(op["ta"].encode())
-            elif kind == "corrupt":
-                ch.oracle_corrupt(op["ta"].encode())
-            elif kind == "extract":
-                ch.oracle_extract(op["id"].encode(), op["ta"].encode())
-            elif kind == "sign":
-                ch.oracle_sign(op["id"].encode(), op["message"].encode(), op["ta"].encode())
-            else:
-                raise ValueError(f"unknown workload op {kind!r}")
+            _, run = _OPS[op["op"]]
+            run(ch, op)
         except ReductionAbort as abort:
             abort_site = abort.site
             abort_detail = abort.detail
