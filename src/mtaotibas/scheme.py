@@ -228,10 +228,7 @@ def aggregate(engine, signatures: Sequence[Signature]):
     sigs = list(signatures)
     if not sigs:
         raise EmptyInput("nothing to aggregate")
-    omega = sigs[0].sigma
-    for s in sigs[1:]:
-        omega = omega * s.sigma
-    return omega
+    return engine.g1_product([(s.sigma, 1) for s in sigs])
 
 
 def verify(engine, params: SystemParams, bundle: AggregateBundle,
