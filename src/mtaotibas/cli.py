@@ -321,6 +321,8 @@ def cmd_bound_check(qc, qe, qs, n, grid):
     from .harness import bound_check
 
     if grid:
+        if (qc, qe, qs, n) != (None,) * 4:
+            raise click.UsageError("--grid takes no --qc, --qe, --qs or --n")
         worst = None
         points = 0
         for point in itertools.product(_BOUND_GRID, repeat=4):

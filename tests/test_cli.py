@@ -229,6 +229,13 @@ def test_harness_bound_check_grid(workdir):
     assert rep["all_hold"] is True
 
 
+@pytest.mark.parametrize("option", ["--qc", "--qe", "--qs", "--n"])
+def test_harness_bound_check_grid_with_point_exits_2(workdir, option):
+    result = run(CliRunner(), ["harness", "bound-check", "--grid", option, "3"])
+    assert result.exit_code == 2, result.output
+    assert "--grid" in result.stderr
+
+
 def test_cli_import_leaves_harness_unloaded():
     src = str(Path(mtaotibas.__file__).resolve().parents[1])
     code = "import sys, mtaotibas.cli; sys.exit('mtaotibas.harness' in sys.modules)"
