@@ -86,7 +86,7 @@ def scripted_forger(ch: Challenger, rng: Optional[random.Random] = None,
     resamples["message"] = n
 
     # background signers: unplanted identities spread over the target
-    # authority and a few extra ones (their coins are unconstrained)
+    # authority and the extra ones (their coins are unconstrained)
     background = []
     attempts_left = max_attempts * _BACKGROUND_SIGNERS
     extra_names = []
