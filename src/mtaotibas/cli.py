@@ -240,16 +240,15 @@ def cmd_aggregate(obj, layout_path, out_path, signature_files):
 @main.command("verify")
 @click.option("--params", "params_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--bundle", "bundle_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--check-certs/--no-check-certs", default=True, show_default=True,
-              help="Validate authority certificates (disable for pre-validated registries).")
 @click.pass_obj
 @cli_errors
-def cmd_verify(obj, params_path, bundle_path, check_certs):
-    """Verify an aggregate bundle; exit 0 when valid, 1 when not."""
+def cmd_verify(obj, params_path, bundle_path):
+    """Verify an aggregate bundle, authority certificates included; exit 0
+    when valid, 1 when not."""
     engine = obj.engine
     params = envelopes.load_json(params_path, engine, "system-params")
     bundle = envelopes.load_json(bundle_path, engine, "aggregate-bundle")
-    result = scheme.verify(engine, params, bundle, check_certificates=check_certs)
+    result = scheme.verify(engine, params, bundle)
     emit({
         "valid": result.valid,
         "reason": result.reason,

@@ -7,10 +7,10 @@ pattern holds), giving
     f(delta) = (1 - delta)^(q_C + q_E + q_S + n) * delta^2
 
 times eps. Maximizing over delta must dominate the closed-form bound
-4 / (e^2 (q_C + q_E + q_S + n + 2)^2); the optimizer is
-delta* = 2 / (q_C + q_E + q_S + n + 2). bound_check establishes the
-inequality in exact rational arithmetic (using a rational lower bound on
-e^2 tight to 20 digits); monte_carlo_abort estimates the no-abort
+4 / (e^2 (q_C + q_E + q_S + n + 2)^2); over 0 < delta <= 1, f peaks at
+exactly delta* = 2 / (q_C + q_E + q_S + n + 2). bound_check establishes
+the inequality in exact rational arithmetic (using a rational lower bound
+on e^2 tight to 20 digits); monte_carlo_abort estimates the no-abort
 probability empirically.
 """
 
@@ -19,7 +19,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import List, Optional
+from typing import Optional
 
 from ..pairing import get_engine
 from .challenger import Challenger, CoCDHInstance
@@ -27,8 +27,6 @@ from .workload import abort_workload, run_workload
 
 # e^2 = 7.3890560989306502272304274605750078131... (truncated -> lower bound)
 E_SQUARED_LOWER = Fraction(73890560989306502272, 10**19)
-# bound_check's float scan tries delta = k / _GRID for k in 1.._GRID-1
-_GRID = 512
 
 
 def optimal_delta(q_c: int, q_e: int, q_s: int, n: int) -> float:
@@ -48,36 +46,22 @@ def bound_rhs_upper(budget: int) -> Fraction:
 
 
 def bound_check(q_c: int, q_e: int, q_s: int, n: int) -> dict:
-    """Evaluate max_delta f(delta) against the closed-form bound.
-
-    A float scan over a fine grid locates the maximum; the decisive
-    comparison re-evaluates the best candidates (the grid argmax and the
-    closed-form optimizer) as exact rationals against a rational upper
-    bound on the right-hand side, so a pass is a proof of the inequality.
-    """
+    """Evaluate max_delta f(delta), at its maximizer delta*, against the
+    closed-form bound. The comparison is between exact rationals, with a
+    rational upper bound on the right-hand side, so a pass is a proof of
+    the inequality."""
     budget = q_c + q_e + q_s + n
-    candidates: List[Fraction] = []
-    if budget > 0:
-        candidates.append(Fraction(2, budget + 2))
-    best_grid, best_val = None, -1.0
-    for k in range(1, _GRID):
-        d = k / _GRID
-        v = (1.0 - d) ** budget * d * d
-        if v > best_val:
-            best_grid, best_val = k, v
-    candidates.append(Fraction(best_grid, _GRID))
-    exact = {c: success_probability(c, budget) for c in candidates}
-    lhs = max(exact.values())
-    rhs_upper = bound_rhs_upper(budget)
+    delta_star = Fraction(2, budget + 2)
+    lhs = success_probability(delta_star, budget)
     return {
         "q_c": q_c,
         "q_e": q_e,
         "q_s": q_s,
         "n": n,
-        "delta_star": float(candidates[0]) if budget > 0 else 1.0,
+        "delta_star": float(delta_star),
         "lhs_max": float(lhs),
         "rhs": 4.0 / (math.e**2 * (budget + 2) ** 2),
-        "holds": lhs >= rhs_upper,
+        "holds": lhs >= bound_rhs_upper(budget),
     }
 
 

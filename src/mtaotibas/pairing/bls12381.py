@@ -1,15 +1,15 @@
 """BLS12-381 backend: Type-3 pairing at the 128-bit security level.
 
-Everything is implemented over gmpy2 integers (plain ints if gmpy2 is
-missing). Field towers use flat tuples and curve arithmetic uses Jacobian
-coordinates. Variable-base G1 scalar multiplication is one kernel,
-g1_msm: a multi-scalar multiplication that splits each scalar with the
-GLV endomorphism phi and interleaves all points over one chain of
-doublings (Straus), each point with a table of i*P + j*phi(P), i, j in
-0..3, normalized to affine with one inversion per call; g1_mul is its
-one-point case and g1_mul_plain the double-and-add reference. The Miller
-loop runs in affine coordinates with batched inversions, and the final
-exponentiation uses the cube-of-the-pairing
+Everything is implemented over Python ints. Field towers use flat tuples
+and curve arithmetic uses Jacobian coordinates. Variable-base G1 scalar
+multiplication is one kernel, g1_msm: a multi-scalar multiplication that
+splits each scalar with the GLV endomorphism phi and interleaves all
+points over one chain of doublings (Straus), each point with a table of
+i*P + j*phi(P), i, j in 0..3, normalized to affine with one inversion per
+call; g1_mul is its one-point case. g1_mul_plain, the reference, and
+g2_mul share one double-and-add ladder. The Miller loop runs in affine
+coordinates with batched inversions, and the final exponentiation uses
+the cube-of-the-pairing
 decomposition 3*(p^4-p^2+1)/r = (x-1)^2 (x+p) (x^2+p^2-1) + 3, which is an
 integer identity checked in the test suite. Cubing the reduced pairing
 preserves bilinearity and non-degeneracy, so all protocol equations are
@@ -36,39 +36,30 @@ from ..encoding import expand_bytes
 from ..errors import InvalidElement
 from .engine import PairingEngine
 
-try:
-    from gmpy2 import mpz, invert as _invert
-except ImportError:  # gmpy2 is the optional "fast" extra; plain ints are the tested path
-    mpz = int
-
-    def _invert(a, m):
-        return pow(a, -1, m)
-
-PRIME = mpz(0x1A0111EA397FE69A4B1BA7B6434BACD764774B84F38512BF6730D2A0F6B0F6241EABFFFEB153FFFFB9FEFFFFFFFFAAAB)
+PRIME = 0x1A0111EA397FE69A4B1BA7B6434BACD764774B84F38512BF6730D2A0F6B0F6241EABFFFEB153FFFFB9FEFFFFFFFFAAAB
 ORDER = 0x73EDA753299D7D483339D80809A1D80553BDA402FFFE5BFEFFFFFFFF00000001
 X_CURVE = -0xD201000000010000  # BLS parameter; r = x^4 - x^2 + 1
 ABS_X = -X_CURVE
 H_EFF_G1 = 0xD201000000010001  # 1 - x, effective G1 cofactor multiplier
 _SQRT_EXP = (PRIME + 1) // 4  # p = 3 mod 4
-_X_BITS = [int(b) for b in bin(ABS_X)[3:]]  # bits after the MSB
 
-_G1X = mpz(0x17F1D3A73197D7942695638C4FA9AC0FC3688C4F9774B905A14E3A3F171BAC586C55E83FF97A1AEFFB3AF00ADB22C6BB)
-_G1Y = mpz(0x08B3F481E3AAA0F1A09E30ED741D8AE4FCF5E095D5D00AF600DB18CB2C04B3EDD03CC744A2888AE40CAA232946C5E7E1)
+_G1X = 0x17F1D3A73197D7942695638C4FA9AC0FC3688C4F9774B905A14E3A3F171BAC586C55E83FF97A1AEFFB3AF00ADB22C6BB
+_G1Y = 0x08B3F481E3AAA0F1A09E30ED741D8AE4FCF5E095D5D00AF600DB18CB2C04B3EDD03CC744A2888AE40CAA232946C5E7E1
 _G2X = (
-    mpz(0x024AA2B2F08F0A91260805272DC51051C6E47AD4FA403B02B4510B647AE3D1770BAC0326A805BBEFD48056C8C121BDB8),
-    mpz(0x13E02B6052719F607DACD3A088274F65596BD0D09920B61AB5DA61BBDC7F5049334CF11213945D57E5AC7D055D042B7E),
+    0x024AA2B2F08F0A91260805272DC51051C6E47AD4FA403B02B4510B647AE3D1770BAC0326A805BBEFD48056C8C121BDB8,
+    0x13E02B6052719F607DACD3A088274F65596BD0D09920B61AB5DA61BBDC7F5049334CF11213945D57E5AC7D055D042B7E,
 )
 _G2Y = (
-    mpz(0x0CE5D527727D6E118CC9CDC6DA2E351AADFD9BAA8CBDD3A76D429A695160D12C923AC9CC3BACA289E193548608B82801),
-    mpz(0x0606C4A02EA734CC32ACD2B02BC28B99CB3E287E85A763AF267492AB572E99AB3F370D275CEC1DA1AAA9075FF05F79BE),
+    0x0CE5D527727D6E118CC9CDC6DA2E351AADFD9BAA8CBDD3A76D429A695160D12C923AC9CC3BACA289E193548608B82801,
+    0x0606C4A02EA734CC32ACD2B02BC28B99CB3E287E85A763AF267492AB572E99AB3F370D275CEC1DA1AAA9075FF05F79BE,
 )
 
 # ---------------------------------------------------------------------------
 # Fq2 = Fq[u] / (u^2 + 1), elements as (a, b) = a + b*u
 
-_FQ2_ZERO = (mpz(0), mpz(0))
-_FQ2_ONE = (mpz(1), mpz(0))
-_XI = (mpz(1), mpz(1))  # u + 1, the Fq6 non-residue
+_FQ2_ZERO = (0, 0)
+_FQ2_ONE = (1, 0)
+_XI = (1, 1)  # u + 1, the Fq6 non-residue
 
 
 def fq2_add(x, y):
@@ -110,7 +101,7 @@ def fq2_mul_xi(x):
 
 def fq2_inv(x):
     a, b = x
-    d = _invert(a * a + b * b, PRIME)
+    d = pow(a * a + b * b, -1, PRIME)
     return (a * d % PRIME, -b * d % PRIME)
 
 
@@ -129,13 +120,20 @@ def fq2_batch_inv(items):
     return out
 
 
-def fq2_pow(x, e):
-    out = _FQ2_ONE
-    for bit in bin(e)[2:]:
-        out = fq2_sqr(out)
+def _pow(mul, sqr, one, x, e):
+    # left-to-right square-and-multiply, starting from x at the top bit
+    if e == 0:
+        return one
+    out = x
+    for bit in bin(e)[3:]:
+        out = sqr(out)
         if bit == "1":
-            out = fq2_mul(out, x)
+            out = mul(out, x)
     return out
+
+
+def fq2_pow(x, e):
+    return _pow(fq2_mul, fq2_sqr, _FQ2_ONE, x, e)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +275,7 @@ def fq12_inv(x):
 
 
 def fq12_pow(x, e):
-    out = FQ12_ONE
-    for bit in bin(e)[2:]:
-        out = fq12_sqr(out)
-        if bit == "1":
-            out = fq12_mul(out, x)
-    return out
+    return _pow(fq12_mul, fq12_sqr, FQ12_ONE, x, e)
 
 
 def fq12_mul_by_014(f, c0, c1, c4):
@@ -341,7 +334,7 @@ def _j_double(X, Y, Z):
 def _j_add_affine(X1, Y1, Z1, x2, y2):
     # mixed addition with an affine second operand
     if Z1 == 0:
-        return (x2, y2, mpz(1))
+        return (x2, y2, 1)
     Z1Z1 = Z1 * Z1 % PRIME
     U2 = x2 * Z1Z1 % PRIME
     S2 = y2 * Z1 * Z1Z1 % PRIME
@@ -350,7 +343,7 @@ def _j_add_affine(X1, Y1, Z1, x2, y2):
     if H == 0:
         if r == 0:
             return _j_double(X1, Y1, Z1)
-        return (mpz(0), mpz(1), mpz(0))
+        return (0, 1, 0)
     HH = H * H % PRIME
     HHH = H * HH % PRIME
     V = X1 * HH % PRIME
@@ -363,7 +356,7 @@ def _j_add_affine(X1, Y1, Z1, x2, y2):
 def _j_normalize(X, Y, Z):
     if Z == 0:
         return None
-    zi = _invert(Z, PRIME)
+    zi = pow(Z, -1, PRIME)
     zi2 = zi * zi % PRIME
     return (X * zi2 % PRIME, Y * zi2 * zi % PRIME)
 
@@ -384,23 +377,29 @@ def g1_add(p1, p2):
     if x1 == x2:
         if (y1 + y2) % PRIME == 0:
             return None
-        lam = 3 * x1 * x1 * _invert(2 * y1, PRIME) % PRIME
+        lam = 3 * x1 * x1 * pow(2 * y1, -1, PRIME) % PRIME
     else:
-        lam = (y2 - y1) * _invert(x2 - x1, PRIME) % PRIME
+        lam = (y2 - y1) * pow(x2 - x1, -1, PRIME) % PRIME
     x3 = (lam * lam - x1 - x2) % PRIME
     return (x3, (lam * (x1 - x3) - y1) % PRIME)
+
+
+def _ladder(double, add_affine, zero, pt, k):
+    # left-to-right double-and-add of an affine point by k >= 1, with k used
+    # as given: g1_mul_plain multiplies by ORDER itself, g2_mul reduces first
+    acc = zero
+    x, y = pt
+    for bit in bin(k)[2:]:
+        acc = double(*acc)
+        if bit == "1":
+            acc = add_affine(*acc, x, y)
+    return acc
 
 
 def g1_mul_plain(pt, k):
     if pt is None or k == 0:
         return None
-    acc = (mpz(0), mpz(1), mpz(0))
-    x, y = pt
-    for bit in bin(int(k))[2:]:
-        acc = _j_double(*acc)
-        if bit == "1":
-            acc = _j_add_affine(*acc, x, y)
-    return _j_normalize(*acc)
+    return _j_normalize(*_ladder(_j_double, _j_add_affine, (0, 1, 0), pt, k))
 
 
 # GLV: phi(x, y) = (beta*x, y) acts as multiplication by LAMBDA on the
@@ -408,17 +407,17 @@ def g1_mul_plain(pt, k):
 # pairs with LAMBDA; test_glv_matches_plain checks beta^3 = 1 and
 # phi(G) = [LAMBDA]G.
 GLV_LAMBDA = X_CURVE * X_CURVE - 1
-GLV_BETA = mpz(0x1A0111EA397FE699EC02408663D4DE85AA0D857D89759AD4897D29650FB85F9B409427EB4F49FFFD8BFD00000000AAAC)
+GLV_BETA = 0x1A0111EA397FE699EC02408663D4DE85AA0D857D89759AD4897D29650FB85F9B409427EB4F49FFFD8BFD00000000AAAC
 
 
 def _j_batch_normalize(points):
     # Montgomery's trick: one inversion for all the Z coordinates, none zero
     prefix = []
-    acc = mpz(1)
+    acc = 1
     for _, _, Z in points:
         prefix.append(acc)
         acc = acc * Z % PRIME
-    inv = _invert(acc, PRIME)
+    inv = pow(acc, -1, PRIME)
     out = [None] * len(points)
     for i in range(len(points) - 1, -1, -1):
         X, Y, Z = points[i]
@@ -434,8 +433,7 @@ def _glv_table(pt):
     # i + 4j - 1 (the identity, i = j = 0, is left out); for an r-subgroup
     # point none is the identity, as i + j*LAMBDA is not 0 mod r
     x, y = pt
-    one = mpz(1)
-    table = [(mpz(0), one, mpz(0)), (x, y, one), _j_double(x, y, one)]
+    table = [(0, 1, 0), (x, y, 1), _j_double(x, y, 1)]
     table.append(_j_add_affine(*table[2], x, y))
     phi_x = x * GLV_BETA % PRIME
     for k in range(4, 16):
@@ -456,14 +454,14 @@ def g1_msm(pairs):
     ones = []
     terms = []
     for pt, k in pairs:
-        k = int(k) % ORDER
+        k %= ORDER
         if pt is None or k == 0:
             continue
         if k == 1:
             ones.append(pt)
         else:
             terms.append((pt, k % GLV_LAMBDA, k // GLV_LAMBDA))
-    acc = (mpz(0), mpz(1), mpz(0))
+    acc = (0, 1, 0)
     if terms:
         flat = _j_batch_normalize([e for pt, _, _ in terms for e in _glv_table(pt)])
         tables = [flat[15 * t:15 * t + 15] for t in range(len(terms))]
@@ -491,7 +489,7 @@ def g1_in_subgroup(pt):
 # ---------------------------------------------------------------------------
 # G2: y^2 = x^3 + 4(u+1) over Fq2. Same shapes as G1 with Fq2 coordinates.
 
-_B2 = (mpz(4), mpz(4))
+_B2 = (4, 4)
 
 
 def g2_on_curve(pt):
@@ -573,16 +571,10 @@ def _j2_add_affine(X1, Y1, Z1, x2, y2):
 
 
 def g2_mul(pt, k):
-    k = int(k) % ORDER
+    k %= ORDER
     if pt is None or k == 0:
         return None
-    acc = (_FQ2_ZERO, _FQ2_ONE, _FQ2_ZERO)
-    x, y = pt
-    for bit in bin(k)[2:]:
-        acc = _j2_double(*acc)
-        if bit == "1":
-            acc = _j2_add_affine(*acc, x, y)
-    X, Y, Z = acc
+    X, Y, Z = _ladder(_j2_double, _j2_add_affine, (_FQ2_ZERO, _FQ2_ONE, _FQ2_ZERO), pt, k)
     if Z == _FQ2_ZERO:
         return None
     zi = fq2_inv(Z)
@@ -600,12 +592,15 @@ def g2_in_subgroup(pt):
 # exponentiation described in the module docstring.
 
 
-def _miller_terms(pairs):
-    # pairs: list of ((xp, yp) in Fq, (xq, yq) in Fq2); no identities
+def multi_miller_loop(pairs):
+    # pairs: ((xp, yp) in Fq, (xq, yq) in Fq2); terms with an identity drop out
+    pairs = [(p, q) for p, q in pairs if p is not None and q is not None]
+    if not pairs:
+        return FQ12_ONE
     f = FQ12_ONE
     ts = [q for _, q in pairs]
     n = len(pairs)
-    for bit in _X_BITS:
+    for bit in bin(ABS_X)[3:]:
         f = fq12_sqr(f)
         invs = fq2_batch_inv([fq2_add(t[1], t[1]) for t in ts])
         for i in range(n):
@@ -617,8 +612,8 @@ def _miller_terms(pairs):
             ts[i] = (x3, y3)
             c0 = fq2_sub(fq2_mul(lam, xt), yt)
             c1 = fq2_neg(fq2_scale(lam, xp))
-            f = fq12_mul_by_014(f, c0, c1, (yp, mpz(0)))
-        if bit:
+            f = fq12_mul_by_014(f, c0, c1, (yp, 0))
+        if bit == "1":
             invs = fq2_batch_inv([fq2_sub(pairs[i][1][0], ts[i][0]) for i in range(n)])
             for i in range(n):
                 xp, yp = pairs[i][0]
@@ -630,22 +625,13 @@ def _miller_terms(pairs):
                 ts[i] = (x3, y3)
                 c0 = fq2_sub(fq2_mul(lam, xq), yq)
                 c1 = fq2_neg(fq2_scale(lam, xp))
-                f = fq12_mul_by_014(f, c0, c1, (yp, mpz(0)))
+                f = fq12_mul_by_014(f, c0, c1, (yp, 0))
     return fq12_conj(f)  # the curve parameter is negative
-
-
-def _pow_abs_x(f):
-    out = f
-    for bit in _X_BITS:
-        out = fq12_sqr(out)
-        if bit:
-            out = fq12_mul(out, f)
-    return out
 
 
 def _exp_x_minus_1(f):
     # f^(x-1) in the cyclotomic subgroup (inverse = conjugate there)
-    return fq12_mul(fq12_conj(_pow_abs_x(f)), fq12_conj(f))
+    return fq12_mul(fq12_conj(fq12_pow(f, ABS_X)), fq12_conj(f))
 
 
 def final_exponentiation(f):
@@ -654,19 +640,12 @@ def final_exponentiation(f):
     f = fq12_mul(fq12_frob2(f), f)
     # hard part, cubed: exponent (x-1)^2 (x+p) (x^2+p^2-1) + 3
     t = _exp_x_minus_1(_exp_x_minus_1(f))
-    t = fq12_mul(fq12_conj(_pow_abs_x(t)), fq12_frob(t))  # ^(x+p)
+    t = fq12_mul(fq12_conj(fq12_pow(t, ABS_X)), fq12_frob(t))  # ^(x+p)
     t = fq12_mul(
-        fq12_mul(_pow_abs_x(_pow_abs_x(t)), fq12_frob2(t)),  # ^(x^2+p^2)
+        fq12_mul(fq12_pow(fq12_pow(t, ABS_X), ABS_X), fq12_frob2(t)),  # ^(x^2+p^2)
         fq12_conj(t),  # ^(-1)
     )
     return fq12_mul(t, fq12_mul(fq12_sqr(f), f))
-
-
-def multi_miller_loop(pairs):
-    live = [(p, q) for p, q in pairs if p is not None and q is not None]
-    if not live:
-        return FQ12_ONE
-    return _miller_terms(live)
 
 
 # ---------------------------------------------------------------------------
@@ -686,21 +665,21 @@ def _fq2_sqrt(t):
     if b == 0:
         z0 = _fq_sqrt(a)
         if z0 is not None:
-            return (z0, mpz(0))
+            return (z0, 0)
         z1 = _fq_sqrt(-a % PRIME)
         if z1 is not None:
-            return (mpz(0), z1)
+            return (0, z1)
         return None
     n = _fq_sqrt((a * a + b * b) % PRIME)
     if n is None:
         return None
-    inv2 = _invert(mpz(2), PRIME)
+    inv2 = pow(2, -1, PRIME)
     for root in (n, -n % PRIME):
         c = (a + root) * inv2 % PRIME
         z0 = _fq_sqrt(c)
         if z0 is None or z0 == 0:
             continue
-        z1 = b * _invert(2 * z0, PRIME) % PRIME
+        z1 = b * pow(2 * z0, -1, PRIME) % PRIME
         cand = (z0, z1)
         if fq2_sqr(cand) == (a % PRIME, b % PRIME):
             return cand
@@ -721,7 +700,7 @@ def hash_to_g1_point(tag: bytes, data: bytes):
             continue
         if stream[64] & 1:
             y = -y % PRIME
-        pt = g1_mul_plain((mpz(x), mpz(y)), H_EFF_G1)
+        pt = g1_mul_plain((x, y), H_EFF_G1)
         if pt is None:
             continue
         return pt
@@ -754,7 +733,7 @@ class _PointCodec:
         if pt is None:
             return bytes([0xC0]) + bytes(self.width - 1)
         x, y = pt
-        raw = bytearray(b"".join(int(c).to_bytes(48, "big") for c in self.to_wire(x)))
+        raw = bytearray(b"".join(c.to_bytes(48, "big") for c in self.to_wire(x)))
         raw[0] |= 0x80 | (0x20 if self._larger(y) else 0)
         return bytes(raw)
 
@@ -773,7 +752,7 @@ class _PointCodec:
             return None
         if max(wire) >= PRIME:
             raise InvalidElement(f"{group} x coordinate out of range")
-        x = self.from_wire(tuple(mpz(c) for c in wire))
+        x = self.from_wire(wire)
         y = self.y_from_x(x)
         if y is None:
             raise InvalidElement(f"{group} x coordinate not on the curve")
@@ -799,7 +778,7 @@ encode_g2_point, decode_g2_point = _G2_CODEC.encode, _G2_CODEC.decode
 
 def encode_gt_value(f) -> bytes:
     (c0, c2, c4), (c1, c3, c5) = f
-    return b"".join(int(v).to_bytes(48, "big") for pair in (c0, c2, c4, c1, c3, c5) for v in pair)
+    return b"".join(v.to_bytes(48, "big") for pair in (c0, c2, c4, c1, c3, c5) for v in pair)
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +845,6 @@ class Bls12381Engine(PairingEngine):
     G2 = G2Point
     scalar_bytes = 32
     g1_bytes = 48
-    g2_bytes = 96
 
     def __init__(self):
         super().__init__()

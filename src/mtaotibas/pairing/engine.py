@@ -19,8 +19,8 @@ class PairingEngine:
     backend, the tests' oracle, gives all three groups the full law.
 
     A subclass sets ``backend`` (named in envelopes), ``order``, the element
-    classes ``G1``/``G2``, the widths ``scalar_bytes``/``g1_bytes``/
-    ``g2_bytes``, the generators ``g1``/``g2`` and the identities
+    classes ``G1``/``G2``, the widths ``scalar_bytes``/``g1_bytes``, the
+    generators ``g1``/``g2`` and the identities
     ``identity_g1``/``identity_g2``/``identity_gt``. It provides
     ``multi_pair`` (passing its terms through ``_counted``), ``hash_to_g1``,
     ``_encode_g1``/``_encode_g2`` and ``decode_g1``/``decode_g2``, which

@@ -98,7 +98,6 @@ class MockEngine(PairingEngine):
     G2 = MockG2
     scalar_bytes = 2
     g1_bytes = 2
-    g2_bytes = 2
 
     def __init__(self, table: Optional[dict] = None):
         super().__init__()

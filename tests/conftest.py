@@ -181,7 +181,7 @@ def off_subgroup_g1_point():
         t = (x * x * x + 4) % bls12381.PRIME
         y = bls12381._fq_sqrt(t)
         if y is not None:
-            pt = (bls12381.mpz(x), bls12381.mpz(y))
+            pt = (x, y)
             if not bls12381.g1_in_subgroup(pt):
                 return pt
         x += 1

@@ -100,6 +100,43 @@ def test_glv_matches_plain():
     assert curve.g1_mul(g, curve.ORDER) is None
 
 
+def _g2_affine_double(pt):
+    # the chord-and-tangent doubling, as an independent check of the ladder
+    x, y = pt
+    lam = curve.fq2_mul(curve.fq2_scale(curve.fq2_sqr(x), 3), curve.fq2_inv(curve.fq2_add(y, y)))
+    x3 = curve.fq2_sub(curve.fq2_sqr(lam), curve.fq2_add(x, x))
+    return (x3, curve.fq2_sub(curve.fq2_mul(lam, curve.fq2_sub(x, x3)), y))
+
+
+def test_g2_mul_edges_and_composition():
+    q = (curve._G2X, curve._G2Y)
+    r = curve.ORDER
+    assert curve.g2_mul(q, 0) is None
+    assert curve.g2_mul(None, 5) is None
+    assert curve.g2_mul(q, 1) == q
+    assert curve.g2_mul(q, 2) == _g2_affine_double(q)
+    assert curve.g2_mul(q, r - 1) == (q[0], curve.fq2_neg(q[1]))
+    assert curve.g2_mul(q, r) is None
+    assert curve.g2_mul(q, r + 1) == q
+    rng = random.Random(8)
+    for _ in range(2):
+        a, b = rng.randrange(2, r), rng.randrange(2, r)
+        assert curve.g2_mul(curve.g2_mul(q, b), a) == curve.g2_mul(q, a * b % r)
+
+
+def test_small_powers():
+    rng = random.Random(9)
+    x = tuple(tuple((rng.randrange(curve.PRIME), rng.randrange(curve.PRIME)) for _ in range(3))
+              for _ in range(2))
+    assert curve.fq12_pow(x, 0) == curve.FQ12_ONE
+    assert curve.fq12_pow(x, 1) == x
+    assert curve.fq12_pow(x, 2) == curve.fq12_mul(x, x)
+    y = (rng.randrange(1, curve.PRIME), rng.randrange(curve.PRIME))
+    assert curve.fq2_pow(y, 0) == (1, 0)
+    assert curve.fq2_pow(y, 1) == y
+    assert curve.fq2_pow(y, curve.PRIME**2 - 1) == (1, 0)  # the order of Fq2*
+
+
 def _plain_sum(pairs):
     acc = None
     for pt, k in pairs:
@@ -211,8 +248,8 @@ def _x_off_curve(group):
     for k in range(1, 100):
         if group == "g1" and curve._fq_sqrt((k**3 + 4) % p) is None:
             return [k]
-        x = (curve.mpz(k), curve.mpz(0))
-        rhs = curve.fq2_add(curve.fq2_mul(curve.fq2_sqr(x), x), (curve.mpz(4), curve.mpz(4)))
+        x = (k, 0)
+        rhs = curve.fq2_add(curve.fq2_mul(curve.fq2_sqr(x), x), (4, 4))
         if group == "g2" and curve._fq2_sqrt(rhs) is None:
             return [0, k]
     raise AssertionError("no x off the curve below 100")
@@ -262,7 +299,7 @@ def test_fq2_sqrt_round_trip():
     rng = random.Random(6)
     found = 0
     for _ in range(20):
-        cand = (curve.mpz(rng.randrange(curve.PRIME)), curve.mpz(rng.randrange(curve.PRIME)))
+        cand = (rng.randrange(curve.PRIME), rng.randrange(curve.PRIME))
         square = curve.fq2_sqr(cand)
         root = curve._fq2_sqrt(square)
         assert root is not None

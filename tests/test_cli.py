@@ -104,6 +104,37 @@ def test_verify_undecodable_bundle_exits_2(workdir):
     assert result.exit_code == 2
 
 
+def test_verify_checks_certificates_with_no_way_round(workdir):
+    # ID-C's key and signature come from a TA-2 enrolled under a second
+    # root: the signatures hold, but its certificate does not chain to
+    # params.json, and the CLI offers no option to skip that check
+    runner = CliRunner()
+    drive_lifecycle(runner)
+    for args in (["--seed", "7", "root-setup", "--out-params", "params2.json",
+                  "--out-master", "master2.json"],
+                 ["--seed", "8", "ta-enroll", "--params", "params2.json",
+                  "--master", "master2.json", "--ta-id", "TA-2",
+                  "--out-record", "ta2-rogue.json", "--out-secret", "ta2-rogue-secret.json"],
+                 ["extract", "--ta-secret", "ta2-rogue-secret.json", "--ta-record", "ta2-rogue.json",
+                  "--signer-id", "ID-C", "--store", "rogue.journal"],
+                 ["sign", "--store", "rogue.journal", "--entry-id", "1", "--ta-record", "ta2-rogue.json",
+                  "--message-file", "m3.bin", "--out", "s3-rogue.json"]):
+        assert run(runner, MOCK + args).exit_code == 0, args
+    layout = copy.deepcopy(CLI_LAYOUT)
+    layout["groups"][1]["ta_record"] = "ta2-rogue.json"
+    Path("layout-rogue.json").write_text(json.dumps(layout))
+    result = run(runner, MOCK + ["aggregate", "--layout", "layout-rogue.json", "--out", "rogue.json",
+                                 "s1.json", "s2.json", "s3-rogue.json"])
+    assert result.exit_code == 0
+    verify = MOCK + ["verify", "--params", "params.json", "--bundle", "rogue.json"]
+    result = run(runner, verify)
+    assert result.exit_code == 1
+    assert json.loads(result.output)["reason"] == "certificate check failed"
+    result = run(runner, verify + ["--no-check-certs"])
+    assert result.exit_code == 2
+    assert "--no-check-certs" in result.stderr
+
+
 def test_verify_fuzzed_bundle_never_accepts(workdir):
     # flipping one hex digit anywhere must yield exit 1 (decodes, fails) or
     # exit 2 (no longer decodes), never 0

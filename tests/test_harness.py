@@ -496,6 +496,15 @@ def test_bound_degenerate_point():
     assert rep["lhs_max"] > 0.99  # sup over the open interval is 1
 
 
+def test_bound_closed_form_beats_any_grid_point():
+    # (1-d)^B d^2 peaks at d = 2/(B+2); no d = k/512 does better
+    for budget in range(61):
+        best = success_probability(Fraction(2, budget + 2), budget)
+        assert bound_check(budget, 0, 0, 0)["lhs_max"] == float(best)
+        assert all(success_probability(Fraction(k, 512), budget) <= best for k in range(1, 512)), budget
+    assert bound_check(0, 0, 0, 0)["lhs_max"] == 1.0
+
+
 def test_bound_rhs_monotone_decreasing():
     last = None
     for budget in (0, 1, 2, 5, 10, 50, 100):
