@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -85,6 +86,21 @@ def test_multi_pair_equals_product_and_counts(bls_engine):
     assert e.multi_pair(list(reversed(terms))) == combined
     with pytest.raises(EmptyInput):
         e.multi_pair([])
+
+
+def test_gt_values_pinned(bls_engine):
+    # raw GT bytes are this backend's own (see the module docstring); pin
+    # them so a rewrite of the Miller loop or the final exponentiation must
+    # reproduce them exactly
+    e = bls_engine
+
+    def digest(gt):
+        return hashlib.sha256(curve.encode_gt_value(gt.pt)).hexdigest()
+
+    assert digest(e.pair(e.g1, e.g2)) == "06fa588b89fdfb034dbc1c163ecb3dfac228f552b643c7294cc5f2c4dc170b84"
+    rng = random.Random(12)
+    terms = [(e.g1 ** rng.randrange(1, e.order), e.g2 ** rng.randrange(1, e.order)) for _ in range(3)]
+    assert digest(e.multi_pair(terms)) == "1429469de8645c22019013634e92f12c52ccc41e704e2966d30c1c4e89e51480"
 
 
 def test_glv_matches_plain():
