@@ -135,11 +135,9 @@ def cmd_ta_enroll(obj, params_path, master_path, ta_id, out_record, out_secret):
 @click.option("--signer-id", required=True, help="Signer identity (UTF-8).")
 @click.option("--store", "store_path", type=click.Path(dir_okay=False), default=None,
               help=f"Key journal path (default ${keystore.STORE_ENV} or ./mtaotibas-store.journal).")
-@click.option("--out-key", type=click.Path(dir_okay=False), default=None,
-              help="Also write the key to its own envelope file.")
 @click.pass_obj
 @cli_errors
-def cmd_extract(obj, secret_path, record_path, signer_id, store_path, out_key):
+def cmd_extract(obj, secret_path, record_path, signer_id, store_path):
     """Derive a one-time signing key and store it fresh."""
     engine = obj.engine
     secret = envelopes.load_json(secret_path, engine, "ta-secret")
@@ -148,8 +146,6 @@ def cmd_extract(obj, secret_path, record_path, signer_id, store_path, out_key):
     path = keystore.store_path_from_env(store_path)
     with keystore.KeyStore(path, engine) as store:
         entry_id = store.store_key(key)
-    if out_key:
-        envelopes.save_json(out_key, engine, key)
     emit({"entry_id": entry_id, "signer_id": signer_id, "store": path})
 
 

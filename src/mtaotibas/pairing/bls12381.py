@@ -8,12 +8,15 @@ points over one chain of doublings (Straus), each point with a table of
 i*P + j*phi(P), i, j in 0..3, normalized to affine with one inversion per
 call; g1_mul is its one-point case. g1_mul_plain, the reference, and
 g2_mul share one double-and-add ladder. The Miller loop runs in affine
-coordinates with batched inversions, and the final exponentiation uses
-the cube-of-the-pairing
-decomposition 3*(p^4-p^2+1)/r = (x-1)^2 (x+p) (x^2+p^2-1) + 3, which is an
-integer identity checked in the test suite. Cubing the reduced pairing
-preserves bilinearity and non-degeneracy, so all protocol equations are
-unaffected; only raw GT byte values differ from other libraries.
+coordinates with batched inversions; one line step serves the tangent and
+the chord, and each line is divided by y_P (never 0: E(Fq) has odd order)
+to the shape c0 + c1*v + v*w. That is free, as the final exponentiation
+sends every Fq factor to 1 (Barreto-Kim-Lynn-Scott, CRYPTO 2002); it
+computes the cube of the pairing through the decomposition
+3*(p^4-p^2+1)/r = (x-1)^2 (x+p) (x^2+p^2-1) + 3, an integer identity
+checked in the test suite. Cubing the reduced pairing preserves
+bilinearity and non-degeneracy, so all protocol equations are unaffected;
+only raw GT byte values differ from other libraries.
 
 Points are encoded compressed, in the zcash style: x as 48-byte big-endian
 Fq coordinates (an Fq2 x as c1 then c0, so G1 takes 48 bytes and G2 96),
@@ -229,19 +232,6 @@ def _fq6_mul_sparse01(x, c0, c1):
     )
 
 
-def _fq6_mul_sparse1(x, c1):
-    # x * (c1*v), inlined
-    (a0r, a0i), (a1r, a1i), (a2r, a2i) = x
-    c1r, c1i = c1
-    m2r = a2r * c1r - a2i * c1i
-    m2i = a2r * c1i + a2i * c1r
-    return (
-        ((m2r - m2i) % PRIME, (m2r + m2i) % PRIME),
-        ((a0r * c1r - a0i * c1i) % PRIME, (a0r * c1i + a0i * c1r) % PRIME),
-        ((a1r * c1r - a1i * c1i) % PRIME, (a1r * c1i + a1i * c1r) % PRIME),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Fq12 = Fq6[w] / (w^2 - v), elements as (a, b) = a + b*w
 
@@ -278,13 +268,14 @@ def fq12_pow(x, e):
     return _pow(fq12_mul, fq12_sqr, FQ12_ONE, x, e)
 
 
-def fq12_mul_by_014(f, c0, c1, c4):
-    # f * (c0 + c1*v + c4*v*w), the shape of an untwisted line function
+def fq12_mul_by_line(f, c0, c1):
+    # f * (l + v*w) with l = c0 + c1*v, the shape of a scaled line function:
+    # (a + b*w)(l + v*w) = (a*l + b*v^2) + (a*v + b*l)*w, as w^2 = v
     a, b = f
-    t0 = _fq6_mul_sparse01(a, c0, c1)
-    t1 = _fq6_mul_sparse1(b, c4)
-    t2 = _fq6_mul_sparse01(fq6_add(a, b), c0, fq2_add(c1, c4))
-    return (fq6_add(t0, fq6_mul_v(t1)), fq6_sub(fq6_sub(t2, t0), t1))
+    return (
+        fq6_add(_fq6_mul_sparse01(a, c0, c1), fq6_mul_v(fq6_mul_v(b))),
+        fq6_add(fq6_mul_v(a), _fq6_mul_sparse01(b, c0, c1)),
+    )
 
 
 # Frobenius: w^(p-1) = xi^((p-1)/6), applied per power-of-w coefficient
@@ -397,6 +388,8 @@ def _ladder(double, add_affine, zero, pt, k):
 
 
 def g1_mul_plain(pt, k):
+    if k < 0:
+        raise ValueError("g1_mul_plain needs k >= 0")
     if pt is None or k == 0:
         return None
     return _j_normalize(*_ladder(_j_double, _j_add_affine, (0, 1, 0), pt, k))
@@ -587,9 +580,24 @@ def g2_in_subgroup(pt):
 
 
 # ---------------------------------------------------------------------------
-# Pairing: affine Miller loop with shared iteration across terms, untwisted
-# line functions ((c0, c1, c4) sparse shape), and the cubed final
-# exponentiation described in the module docstring.
+# Pairing: affine Miller loop with shared iteration across terms, lines
+# scaled by 1/y_P, and the cubed final exponentiation, as described in the
+# module docstring.
+
+
+def _line_step(f, ps, ts, nums, dens, xs):
+    # T moves to T + S for every term, S being T (the tangent) or Q (the
+    # chord), with slope nums[i] / dens[i] and x_S = xs[i]; f takes in the
+    # line ((lambda*x_T - y_T) - lambda*x_P*v) / y_P + v*w, with ps[i] =
+    # (1/y_P, -x_P/y_P). On the chord lambda*x_T - y_T = lambda*x_Q - y_Q.
+    invs = fq2_batch_inv(dens)
+    for i, (xt, yt) in enumerate(ts):
+        inv_yp, xp_over_yp = ps[i]
+        lam = fq2_mul(nums[i], invs[i])
+        x3 = fq2_sub(fq2_sub(fq2_sqr(lam), xt), xs[i])
+        ts[i] = (x3, fq2_sub(fq2_mul(lam, fq2_sub(xt, x3)), yt))
+        f = fq12_mul_by_line(f, fq2_scale(fq2_sub(fq2_mul(lam, xt), yt), inv_yp), fq2_scale(lam, xp_over_yp))
+    return f
 
 
 def multi_miller_loop(pairs):
@@ -597,35 +605,17 @@ def multi_miller_loop(pairs):
     pairs = [(p, q) for p, q in pairs if p is not None and q is not None]
     if not pairs:
         return FQ12_ONE
+    ps = [(pow(yp, -1, PRIME), xp) for (xp, yp), _ in pairs]
+    ps = [(inv_yp, -xp * inv_yp % PRIME) for inv_yp, xp in ps]
+    qs = [q for _, q in pairs]
+    ts = list(qs)
     f = FQ12_ONE
-    ts = [q for _, q in pairs]
-    n = len(pairs)
     for bit in bin(ABS_X)[3:]:
-        f = fq12_sqr(f)
-        invs = fq2_batch_inv([fq2_add(t[1], t[1]) for t in ts])
-        for i in range(n):
-            xp, yp = pairs[i][0]
-            xt, yt = ts[i]
-            lam = fq2_mul(fq2_scale(fq2_sqr(xt), 3), invs[i])
-            x3 = fq2_sub(fq2_sqr(lam), fq2_add(xt, xt))
-            y3 = fq2_sub(fq2_mul(lam, fq2_sub(xt, x3)), yt)
-            ts[i] = (x3, y3)
-            c0 = fq2_sub(fq2_mul(lam, xt), yt)
-            c1 = fq2_neg(fq2_scale(lam, xp))
-            f = fq12_mul_by_014(f, c0, c1, (yp, 0))
+        f = _line_step(fq12_sqr(f), ps, ts, [fq2_scale(fq2_sqr(xt), 3) for xt, _ in ts],
+                       [fq2_add(yt, yt) for _, yt in ts], [xt for xt, _ in ts])
         if bit == "1":
-            invs = fq2_batch_inv([fq2_sub(pairs[i][1][0], ts[i][0]) for i in range(n)])
-            for i in range(n):
-                xp, yp = pairs[i][0]
-                xq, yq = pairs[i][1]
-                xt, yt = ts[i]
-                lam = fq2_mul(fq2_sub(yq, yt), invs[i])
-                x3 = fq2_sub(fq2_sub(fq2_sqr(lam), xt), xq)
-                y3 = fq2_sub(fq2_mul(lam, fq2_sub(xt, x3)), yt)
-                ts[i] = (x3, y3)
-                c0 = fq2_sub(fq2_mul(lam, xq), yq)
-                c1 = fq2_neg(fq2_scale(lam, xp))
-                f = fq12_mul_by_014(f, c0, c1, (yp, 0))
+            f = _line_step(f, ps, ts, [fq2_sub(q[1], t[1]) for q, t in zip(qs, ts)],
+                           [fq2_sub(q[0], t[0]) for q, t in zip(qs, ts)], [xq for xq, _ in qs])
     return fq12_conj(f)  # the curve parameter is negative
 
 

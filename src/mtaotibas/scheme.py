@@ -137,9 +137,6 @@ class AggregateBundle:
         frozen = tuple((ta, tuple((bytes(i), bytes(m)) for i, m in signers)) for ta, signers in groups)
         return AggregateBundle(groups=frozen, omega=omega)
 
-    def signer_count(self) -> int:
-        return sum(len(signers) for _, signers in self.groups)
-
 
 @dataclass
 class VerifyResult:

@@ -153,6 +153,29 @@ def test_small_powers():
     assert curve.fq2_pow(y, curve.PRIME**2 - 1) == (1, 0)  # the order of Fq2*
 
 
+def test_mul_by_line_matches_dense():
+    # the sparse product against fq12_mul with the line written out in full
+    rng = random.Random(13)
+
+    def fq2():
+        return rng.choice([(0, 0), (0, rng.randrange(curve.PRIME)), (rng.randrange(curve.PRIME), 0),
+                           (rng.randrange(curve.PRIME), rng.randrange(curve.PRIME))])
+
+    zero, one = (0, 0), (1, 0)
+    for _ in range(50):
+        f = tuple(tuple(fq2() for _ in range(3)) for _ in range(2))
+        c0, c1 = fq2(), fq2()
+        assert curve.fq12_mul_by_line(f, c0, c1) == curve.fq12_mul(f, ((c0, c1, zero), (zero, one, zero)))
+
+
+def test_g1_mul_plain_rejects_negative_scalar():
+    g = (curve._G1X, curve._G1Y)
+    for k in (-1, -5):
+        with pytest.raises(ValueError):
+            curve.g1_mul_plain(g, k)
+    assert curve.g1_mul_plain(g, 0) is None
+
+
 def _plain_sum(pairs):
     acc = None
     for pt, k in pairs:

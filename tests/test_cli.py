@@ -104,6 +104,18 @@ def test_verify_undecodable_bundle_exits_2(workdir):
     assert result.exit_code == 2
 
 
+def test_extract_writes_no_key_file(workdir):
+    # a key in its own envelope could sign outside the journal's single-use
+    # rule, so extract offers no way to write one
+    runner = CliRunner()
+    drive_lifecycle(runner)
+    result = run(runner, MOCK + ["extract", "--ta-secret", "ta1-secret.json", "--ta-record", "ta1.json",
+                                 "--signer-id", "ID-D", "--store", "keys.journal", "--out-key", "k.json"])
+    assert result.exit_code == 2
+    assert "--out-key" in result.stderr
+    assert not Path("k.json").exists()
+
+
 def test_verify_checks_certificates_with_no_way_round(workdir):
     # ID-C's key and signature come from a TA-2 enrolled under a second
     # root: the signatures hold, but its certificate does not chain to
