@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import os
 import shutil
@@ -6,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import mtaotibas
 from mtaotibas.cli import main
+from mtaotibas.errors import InvalidElement, KeyAlreadyUsed
 
 from conftest import CLI_LAYOUT
 from conftest import CLI_MOCK_ARGS as MOCK
@@ -430,3 +433,60 @@ def test_workload_bit_checked_before_any_operation(lifecycle_dir, tmp_path, monk
     assert result.exit_code == 2, result.output
     assert "error:" in result.stderr.lower()
     assert ran == []
+
+
+# -- the error contract of every command ---------------------------------------
+
+_CONTRACT_ERRORS = [(KeyAlreadyUsed("planted"), 3), (InvalidElement("planted"), 2),
+                    (ValueError("planted"), 2), (OSError("planted"), 2)]
+
+
+def _commands():
+    """(argv path, command) for the group's own callback and every command."""
+    yield (), main
+    for name, cmd in main.commands.items():
+        if isinstance(cmd, click.Group):
+            yield from (((name, sub_name), sub) for sub_name, sub in cmd.commands.items())
+        else:
+            yield (name,), cmd
+
+
+def _dummy_args(cmd):
+    """A value for each required parameter of ``cmd``; a path that must exist
+    names an empty file."""
+    args = []
+    for param in cmd.params:
+        if not param.required:
+            continue
+        if isinstance(param.type, click.Path) and param.type.exists:
+            value = "dummy.txt"
+            Path(value).touch()
+        elif isinstance(param.type, click.Path):
+            value = "out.json"
+        elif isinstance(param.type, click.types.FloatParamType):
+            value = "0.5"
+        elif isinstance(param.type, click.types.IntParamType):
+            value = "1"
+        else:
+            value = "x"
+        args += [param.opts[0], value] if isinstance(param, click.Option) else [value]
+    return args
+
+
+def _raise_planted(*args, **kwargs):
+    raise sys.planted_cli_error
+
+
+@pytest.mark.parametrize("path, cmd", [pytest.param(p, c, id=" ".join(p) or "main")
+                                       for p, c in _commands()])
+@pytest.mark.parametrize("error, code", [pytest.param(e, c, id=type(e).__name__)
+                                         for e, c in _CONTRACT_ERRORS])
+def test_every_command_maps_errors_to_exit_codes(workdir, monkeypatch, path, cmd, error, code):
+    # the command's own function, under every decorator, raises the error
+    monkeypatch.setattr(inspect.unwrap(cmd.callback), "__code__", _raise_planted.__code__)
+    monkeypatch.setattr(sys, "planted_cli_error", error, raising=False)
+    argv = list(path) + _dummy_args(cmd) if path else ["harness", "bound-check", "--grid"]
+    result = CliRunner().invoke(main, MOCK + argv)
+    assert result.exit_code == code, result.output
+    assert result.stderr == "error: planted\n", result.stderr
+    assert isinstance(result.exception, SystemExit)  # no traceback escaped
