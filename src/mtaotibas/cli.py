@@ -7,7 +7,6 @@ carries human diagnostics. Exit codes: 0 valid / success, 1 invalid
 signature, 2 malformed input or usage error, 3 one-time violation.
 """
 
-import functools
 import itertools
 import json
 import random
@@ -51,20 +50,20 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def cli_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _ErrorBoundary(click.Group):
+    """The command group. Its own callback and every command under it, the
+    nested harness group's included, run inside this one error mapping."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except KeyAlreadyUsed as exc:
             _fail(EXIT_ONE_TIME, str(exc))
         except (MtaError, OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
             _fail(EXIT_MALFORMED, str(exc))
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_ErrorBoundary)
 @click.option("--backend", type=click.Choice(["production", "mock"]), default="production",
               show_default=True, help="Pairing engine to operate on.")
 @click.option("--insecure-mock", is_flag=True,
@@ -74,7 +73,6 @@ def cli_errors(fn):
 @click.option("--mock-table", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Test-vector file pinning mock hash outputs.")
 @click.pass_context
-@cli_errors
 def main(ctx, backend, insecure_mock, seed, mock_table):
     """Aggregate identity-based signatures across multiple authorities."""
     if backend == "mock" and not insecure_mock:
@@ -90,7 +88,6 @@ def main(ctx, backend, insecure_mock, seed, mock_table):
 @click.option("--out-params", type=click.Path(dir_okay=False), required=True)
 @click.option("--out-master", type=click.Path(dir_okay=False), required=True)
 @click.pass_obj
-@cli_errors
 def cmd_root_setup(obj, out_params, out_master):
     """Generate the master secret and public system parameters."""
     master, params = scheme.root_setup(obj.engine, obj.rng())
@@ -111,7 +108,6 @@ def cmd_root_setup(obj, out_params, out_master):
 @click.option("--out-record", type=click.Path(dir_okay=False), required=True)
 @click.option("--out-secret", type=click.Path(dir_okay=False), required=True)
 @click.pass_obj
-@cli_errors
 def cmd_ta_enroll(obj, params_path, master_path, ta_id, out_record, out_secret):
     """Enroll a lower-level authority under the root."""
     engine = obj.engine
@@ -136,7 +132,6 @@ def cmd_ta_enroll(obj, params_path, master_path, ta_id, out_record, out_secret):
 @click.option("--store", "store_path", type=click.Path(dir_okay=False), default=None,
               help=f"Key journal path (default ${keystore.STORE_ENV} or ./mtaotibas-store.journal).")
 @click.pass_obj
-@cli_errors
 def cmd_extract(obj, secret_path, record_path, signer_id, store_path):
     """Derive a one-time signing key and store it fresh."""
     engine = obj.engine
@@ -156,7 +151,6 @@ def cmd_extract(obj, secret_path, record_path, signer_id, store_path):
 @click.option("--message-file", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.pass_obj
-@cli_errors
 def cmd_sign(obj, store_path, entry_id, record_path, message_file, out_path):
     """Produce the stored key's single signature over a message file."""
     engine = obj.engine
@@ -197,7 +191,6 @@ def _read_layout(path):
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.argument("signature_files", nargs=-1, type=click.Path(exists=True, dir_okay=False))
 @click.pass_obj
-@cli_errors
 def cmd_aggregate(obj, layout_path, out_path, signature_files):
     """Combine signatures into an aggregate bundle.
 
@@ -237,7 +230,6 @@ def cmd_aggregate(obj, layout_path, out_path, signature_files):
 @click.option("--params", "params_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--bundle", "bundle_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.pass_obj
-@cli_errors
 def cmd_verify(obj, params_path, bundle_path):
     """Verify an aggregate bundle, authority certificates included; exit 0
     when valid, 1 when not."""
@@ -272,7 +264,6 @@ def harness():
 @click.option("--planted-b", type=int, default=None)
 @click.option("--out-transcript", type=click.Path(dir_okay=False), default=None)
 @click.pass_obj
-@cli_errors
 def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcript):
     """Replay a JSON workload script against a fresh challenger."""
     from .harness import Challenger, CoCDHInstance, check_workload, optimal_delta, run_workload
@@ -310,7 +301,6 @@ def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcr
 @click.option("--n", type=_COUNT, default=None)
 @click.option("--grid", is_flag=True,
               help=f"Check every point of the {_BOUND_GRID} query grid instead of one point.")
-@cli_errors
 def cmd_bound_check(qc, qe, qs, n, grid):
     """Check the success-probability bound in exact arithmetic."""
     from .harness import bound_check
@@ -346,7 +336,6 @@ def cmd_bound_check(qc, qe, qs, n, grid):
 @click.option("--trials", type=_POSITIVE, default=100_000, show_default=True)
 @click.option("--seed", "mc_seed", type=int, default=0, show_default=True)
 @click.option("--jobs", type=_POSITIVE, default=None)
-@cli_errors
 def cmd_monte_carlo(delta, qc, qe, qs, trials, mc_seed, jobs):
     """Estimate the no-abort probability for the standard workload."""
     from .harness import monte_carlo_abort

@@ -5,10 +5,11 @@ its oracle answers and extracts g1^(a*b) from any successful forgery with
 the right coin pattern. Coins are biased bits flipped per fresh identity
 (delta -> 1), recorded alongside the programmed exponents:
 
-* identity-hash oracle: coin 0 embeds nothing (id_b = g1^alpha_b); coin 1
-  folds the challenge in (id_b = g1^alpha_b * A^alpha'_b);
-* authority-setup oracle: coin 0 keeps an honest key (y = g2^kappa);
-  coin 1 plants y = B^kappa;
+* identity-hash oracle: id_b = g1^alpha_b * A^alpha'_b. Coin 1 draws
+  alpha'_b and so folds the challenge in; coin 0 is the alpha'_b = 0 case
+  of the same formula and embeds nothing;
+* authority-setup oracle: y = base^kappa, an honest key (base g2) on
+  coin 0 and a planted one (base B) on coin 1;
 * message-hash oracle: when all three coins line up it returns the
   programmed value h = -alpha'_0/alpha'_1, which makes the challenge terms
   cancel in simulated signatures.
@@ -132,22 +133,15 @@ class Challenger:
         rec = self.h0_list.get(identity)
         if rec is not None:
             return rec
-        q = self.engine.order
+        draw = self.engine.random_scalar
         coin = self._flip()
-        alpha0 = self.rng.randrange(1, q)
-        alpha1 = self.rng.randrange(1, q)
-        if coin == 0:
-            alpha0p = alpha1p = 0
-            id0 = self.engine.g1 ** alpha0
-            id1 = self.engine.g1 ** alpha1
-            self.exponentiations["h0"] += 2
-        else:
-            alpha0p = self.rng.randrange(1, q)
-            alpha1p = self.rng.randrange(1, q)
-            g1, a = self.engine.g1, self.instance.a_elt
-            id0 = self.engine.g1_product([(g1, alpha0), (a, alpha0p)])
-            id1 = self.engine.g1_product([(g1, alpha1), (a, alpha1p)])
-            self.exponentiations["h0"] += 4
+        alpha0, alpha1 = draw(self.rng), draw(self.rng)
+        alpha0p, alpha1p = (draw(self.rng), draw(self.rng)) if coin else (0, 0)
+        # id_b = g1^alpha_b * A^alpha'_b
+        g1, a = self.engine.g1, self.instance.a_elt
+        id0 = self.engine.g1_product([(g1, alpha0), (a, alpha0p)])
+        id1 = self.engine.g1_product([(g1, alpha1), (a, alpha1p)])
+        self.exponentiations["h0"] += 2 + 2 * coin
         rec = H0Record(identity, alpha0, alpha0p, alpha1, alpha1p, id0, id1, coin)
         self.h0_list[identity] = rec
         return rec
@@ -156,12 +150,9 @@ class Challenger:
         rec = self.ta_list.get(ta_identity)
         if rec is not None:
             return rec
-        kappa_i = self.rng.randrange(1, self.engine.order)
+        kappa_i = self.engine.random_scalar(self.rng)
         coin = self._flip()
-        if coin == 0:
-            y_i = self.engine.g2 ** kappa_i
-        else:
-            y_i = self.instance.b_elt ** kappa_i
+        y_i = (self.instance.b_elt if coin else self.engine.g2) ** kappa_i
         self.exponentiations["lowerlevel_setup"] += 1
         record = scheme.certify(self.engine, self.master, ta_identity, y_i)
         rec = TASimRecord(record=record, kappa_i=kappa_i, coin=coin)
@@ -183,7 +174,7 @@ class Challenger:
         if ta.coin == 1 and h0.coin == 1 and coin_prime == 1:
             h = (-h0.alpha0p * pow(h0.alpha1p, -1, q)) % q
         else:
-            h = self.rng.randrange(1, q)
+            h = self.engine.random_scalar(self.rng)
         rec = H1SimRecord(identity, message, cert_bytes, h, coin_prime)
         self.h1_list[key] = rec
         return rec
@@ -281,23 +272,25 @@ class Challenger:
         if not result:
             self._abort("forgery", f"forgery does not verify: {result.reason}")
 
-        groups = []  # (TASimRecord, [(H0Record, H1SimRecord)])
+        # one pass: each authority's known exponent sum_j (alpha0_j + h_j * alpha1_j),
+        # and the one planted identity. verify has queried H1 for every signer,
+        # so every authority is in ta_by_cert and every table entry exists
+        q = self.engine.order
+        known = []  # (TASimRecord, int)
         found = None
         for gi, (ta_record, signers) in enumerate(bundle.groups):
             cert_b = ta_record.cert_bytes(self.engine)
-            ta = self.ta_by_cert.get(cert_b)
-            if ta is None:
-                self._abort("forgery", "authority never set up")
-            members = []
+            ta = self.ta_by_cert[cert_b]
+            exponent = 0
             for si, (ident, message) in enumerate(signers):
                 h0 = self._h0(ident)
                 h1 = self._h1(ident, message, cert_b)
-                members.append((h0, h1))
+                exponent += h0.alpha0 + h1.h * h0.alpha1
                 if h0.coin == 1:
                     if found is not None:
                         self._abort("forgery", "more than one planted identity in forgery")
                     found = (gi, si, ta, h0, h1)
-            groups.append((ta, members))
+            known.append((ta, exponent % q))
 
         if found is None:
             self._abort("forgery", "no planted identity in forgery")
@@ -309,7 +302,6 @@ class Challenger:
         if target_h1.coin_prime != 0:
             self._abort("forgery", "target hash was programmed")
 
-        q = self.engine.order
         denom_core = (target_h0.alpha0p + target_h1.h * target_h0.alpha1p) % q
         if denom_core == 0:
             raise DegenerateDenominator(
@@ -318,11 +310,8 @@ class Challenger:
         denominator = target_ta.kappa_i * denom_core % q
 
         candidate = bundle.omega
-        for ta, members in groups:
-            known = 0
-            for h0, h1 in members:
-                known = (known + h0.alpha0 + h1.h * h0.alpha1) % q
-            candidate = candidate * self.engine.psi(ta.record.y_i) ** (-known % q)
+        for ta, exponent in known:
+            candidate = candidate * self.engine.psi(ta.record.y_i) ** (-exponent % q)
         out = candidate ** pow(denominator, -1, q)
         self.extraction = out
         return out

@@ -18,7 +18,7 @@ random-oracle simulator can verify under its programmed tables.
 """
 
 import hashlib
-import secrets
+import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -246,6 +246,7 @@ def verify(engine, params: SystemParams, bundle: AggregateBundle,
     inner product is one engine.g1_product.
     """
     hashes = hashes or engine_hashes(engine)
+    rng = rng or random.SystemRandom()
     if not bundle.groups:
         return VerifyResult(False, reason="empty bundle")
     if any(not signers for _, signers in bundle.groups):
@@ -268,7 +269,7 @@ def verify(engine, params: SystemParams, bundle: AggregateBundle,
         # fresh random weights rho_i, so independent failures cannot cancel
         terms = []
         for ta, _ in bundle.groups:
-            rho = rng.randrange(1, engine.order) if rng is not None else 1 + secrets.randbelow(engine.order - 1)
+            rho = engine.random_scalar(rng)
             h = hashes.cert_point(ta.payload(engine))
             terms.append((ta.cert.inverse() ** rho, engine.g2))
             terms.append((h ** rho, params.y))
