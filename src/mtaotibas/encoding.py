@@ -1,4 +1,4 @@
-"""Byte-level helpers: length prefixing and deterministic byte expansion.
+"""Byte-level helpers: length prefixing, canonical hex, byte expansion.
 
 Length prefixing keeps multi-field hash inputs unambiguous; expansion turns
 SHA-256 into an arbitrary-length deterministic stream with domain separation.
@@ -15,6 +15,15 @@ def length_prefixed(*fields: bytes) -> bytes:
         out += struct.pack(">I", len(field))
         out += field
     return bytes(out)
+
+
+def from_hex(s: str) -> bytes:
+    """The bytes whose ``.hex()`` is ``s``; ValueError for any other string,
+    uppercase or spaced hex included, and TypeError for a non-string."""
+    data = bytes.fromhex(s)
+    if data.hex() != s:
+        raise ValueError("hex must be lowercase, with no whitespace")
+    return data
 
 
 def expand_bytes(tag: bytes, data: bytes, n: int) -> bytes:

@@ -14,9 +14,8 @@ envelopes round-trip bit-exactly:
 
 Decoding validates group elements against the engine (subgroup membership
 included), so a successfully decoded object is safe to compute with. Other
-malformed input, a wrongly typed JSON node included, raises
-MalformedEnvelope; a binary backend name that is not UTF-8 raises
-UnicodeDecodeError.
+malformed input, a wrongly typed JSON node or hex that ``.hex()`` would not
+write included, raises MalformedEnvelope.
 """
 
 import io
@@ -24,6 +23,7 @@ import json
 import struct
 from typing import NamedTuple, Optional, Tuple
 
+from .encoding import from_hex
 from .errors import MalformedEnvelope
 from .scheme import (
     AggregateBundle,
@@ -61,7 +61,8 @@ _CODECS = {
     "identity": (lambda e, v: v, lambda e, b: _checked(bytes(b), len(b) > 0, "empty identity")),
     "fingerprint": (lambda e, v: v, lambda e, b: _checked(
         bytes(b), len(b) == 32, "authority fingerprint must be 32 bytes")),
-    "backend": (lambda e, v: v.encode(), lambda e, b: _backend(e, b.decode())),
+    # a name that is not UTF-8 decodes with U+FFFD, so it names no engine
+    "backend": (lambda e, v: v.encode(), lambda e, b: _backend(e, b.decode(errors="replace"))),
     "scalar": (lambda e, v: e.encode_scalar(v), lambda e, b: e.decode_scalar(b)),
     "g1": (lambda e, v: e.encode_g1(v), lambda e, b: e.decode_g1(b)),
     "g2": (lambda e, v: e.encode_g2(v), lambda e, b: e.decode_g2(b)),
@@ -249,7 +250,7 @@ def member(node, key: str, typ: type, what: str):
 
 def _unhex(s: str) -> bytes:
     try:
-        return bytes.fromhex(s)
+        return from_hex(s)
     except ValueError as exc:
         raise MalformedEnvelope(f"bad hex: {exc}") from exc
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from . import envelopes, scheme
+from .encoding import from_hex
 from .errors import (
     CorruptJournal,
     DuplicateKey,
@@ -171,9 +172,9 @@ class KeyStore:
 
         def hex_field(name: str) -> bytes:
             try:
-                return bytes.fromhex(rec.get(name))
+                return from_hex(rec.get(name))
             except (TypeError, ValueError):
-                raise corrupt(f"{name!r} is not a hex string") from None
+                raise corrupt(f"{name!r} is not a lowercase hex string") from None
 
         try:
             rec = json.loads(payload.decode("utf-8"))
