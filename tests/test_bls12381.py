@@ -281,6 +281,24 @@ def _wire_x(data):
     return [int.from_bytes(data[i:i + 48], "big") for i in range(0, len(data), 48)]
 
 
+def test_fq2_sqrt_of_an_fq_element():
+    # b = 0: a square a of Fq has the root (sqrt a, 0); a non-square has
+    # (0, sqrt(-a)), as -1 is a non-square for p = 3 mod 4; zero has zero
+    p = curve.PRIME
+    assert p % 4 == 3
+    rng = random.Random(41)
+    squares = [pow(rng.randrange(1, p), 2, p) for _ in range(4)]
+    non_squares = [-a % p for a in squares]
+    for a in squares + non_squares + [0]:
+        root = curve._fq2_sqrt((a, 0))
+        assert root is not None and curve.fq2_sqr(root) == (a, 0)
+        if a in non_squares:
+            assert root[0] == 0
+        else:
+            assert root[1] == 0
+    assert curve._fq2_sqrt((0, 0)) == (0, 0)
+
+
 def _x_off_curve(group):
     # the first small x with no y, as wire-order coordinates
     p = curve.PRIME

@@ -1,5 +1,4 @@
 import copy
-import inspect
 import json
 import os
 import shutil
@@ -441,14 +440,14 @@ _CONTRACT_ERRORS = [(KeyAlreadyUsed("planted"), 3), (InvalidElement("planted"), 
                     (ValueError("planted"), 2), (OSError("planted"), 2)]
 
 
-def _commands():
-    """(argv path, command) for the group's own callback and every command."""
-    yield (), main
-    for name, cmd in main.commands.items():
+def _commands(group=main, path=()):
+    """(argv path, command) for each group's own callback and every command."""
+    yield path, group
+    for name, cmd in group.commands.items():
         if isinstance(cmd, click.Group):
-            yield from (((name, sub_name), sub) for sub_name, sub in cmd.commands.items())
+            yield from _commands(cmd, path + (name,))
         else:
-            yield (name,), cmd
+            yield path + (name,), cmd
 
 
 def _dummy_args(cmd):
@@ -473,20 +472,49 @@ def _dummy_args(cmd):
     return args
 
 
-def _raise_planted(*args, **kwargs):
-    raise sys.planted_cli_error
-
-
 @pytest.mark.parametrize("path, cmd", [pytest.param(p, c, id=" ".join(p) or "main")
                                        for p, c in _commands()])
 @pytest.mark.parametrize("error, code", [pytest.param(e, c, id=type(e).__name__)
                                          for e, c in _CONTRACT_ERRORS])
 def test_every_command_maps_errors_to_exit_codes(workdir, monkeypatch, path, cmd, error, code):
-    # the command's own function, under every decorator, raises the error
-    monkeypatch.setattr(inspect.unwrap(cmd.callback), "__code__", _raise_planted.__code__)
-    monkeypatch.setattr(sys, "planted_cli_error", error, raising=False)
-    argv = list(path) + _dummy_args(cmd) if path else ["harness", "bound-check", "--grid"]
+    def raise_error(**params):
+        raise error
+
+    monkeypatch.setattr(cmd, "callback", raise_error)
+    if isinstance(cmd, click.Group):
+        argv = ["harness", "bound-check", "--grid"]
+    else:
+        argv = list(path) + _dummy_args(cmd)
     result = CliRunner().invoke(main, MOCK + argv)
     assert result.exit_code == code, result.output
     assert result.stderr == "error: planted\n", result.stderr
     assert isinstance(result.exception, SystemExit)  # no traceback escaped
+
+
+# -- inputs that decode but cannot verify, and non-canonical hex -------------------
+
+_BUNDLE = ENVELOPES["aggregate-bundle"]
+
+
+@pytest.mark.parametrize("path, value, reason", [
+    (("fields", "groups"), [], "empty bundle"),
+    (("fields", "groups", 1, "signers"), [], "empty authority group"),
+    (("fields", "groups", 0, "signers", 1, "identity"), "", "empty signer identity"),
+], ids=["no-groups", "empty-group", "empty-identity"])
+def test_verify_rejects_degenerate_bundle_without_pairing(lifecycle_dir, tmp_path, monkeypatch,
+                                                         path, value, reason):
+    result = _invoke_with(lifecycle_dir, tmp_path, monkeypatch, "bundle.json",
+                          _replaced(_BUNDLE, path, value))
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.stdout) == {
+        "valid": False, "reason": reason, "pairings_main": 0, "pairings_certificates": 0}
+
+
+@pytest.mark.parametrize("y, code", [("008a", 1), ("008A", 2), (" 00 8a\n", 2)])
+def test_params_hex_must_be_canonical(lifecycle_dir, tmp_path, monkeypatch, y, code):
+    # "008a" decodes (to the wrong key, so the bundle fails); no other spelling does
+    doc = _replaced(ENVELOPES["system-params"], ("fields", "y"), y)
+    result = _invoke_with(lifecycle_dir, tmp_path, monkeypatch, "params.json", doc)
+    assert result.exit_code == code, result.output
+    if code == 2:
+        assert result.stderr.startswith("error: ") and "hex" in result.stderr

@@ -177,3 +177,74 @@ def test_version_must_be_the_integer_1(fixed_scenario, version):
     doc["version"] = version
     with pytest.raises(MalformedEnvelope):
         envelopes.from_json_obj(eng, doc, "signature")
+
+
+def _params_doc(fixed_scenario, y):
+    doc = envelopes.to_json_obj(fixed_scenario["engine"], fixed_scenario["params"])
+    doc["fields"]["y"] = y
+    return doc
+
+
+@pytest.mark.parametrize("y", ["008A", " 00 8a\n", "00 8a", "008a\n", "0x008a"])
+def test_only_canonical_hex_decodes(fixed_scenario, y):
+    eng = fixed_scenario["engine"]
+    assert envelopes.from_json_obj(eng, _params_doc(fixed_scenario, "008a"), "system-params").y \
+        == eng.element_g2(0x8A)
+    with pytest.raises(MalformedEnvelope, match="hex"):
+        envelopes.from_json_obj(eng, _params_doc(fixed_scenario, y), "system-params")
+
+
+def test_backend_name_not_utf8_rejected(fixed_scenario):
+    eng = fixed_scenario["engine"]
+    blob = envelopes.to_binary(eng, fixed_scenario["params"])
+    assert blob.count(b"mock") == 1
+    with pytest.raises(MalformedEnvelope, match="backend"):
+        envelopes.from_binary(eng, blob.replace(b"mock", b"\xffock"), "system-params")
+
+
+def _reframed(blob: bytes, version=None, tag=None) -> bytes:
+    return blob[:4] + bytes([blob[4] if version is None else version, blob[5] if tag is None else tag]) + blob[6:]
+
+
+@pytest.mark.parametrize("version, tag, why", [
+    (0, None, "unsupported version 0"),
+    (2, None, "unsupported version 2"),
+    (None, 0, "unknown type tag 0"),
+    (None, 8, "unknown type tag 8"),
+    (None, 255, "unknown type tag 255"),
+])
+def test_binary_header_rejected(fixed_scenario, version, tag, why):
+    eng = fixed_scenario["engine"]
+    blob = envelopes.to_binary(eng, fixed_scenario["signatures"][0])
+    with pytest.raises(MalformedEnvelope, match=why):
+        envelopes.from_binary(eng, _reframed(blob, version, tag), "signature")
+
+
+def test_list_counts_above_cap_rejected(fixed_scenario):
+    eng = fixed_scenario["engine"]
+    header = b"MTAO" + bytes([envelopes.VERSION, 5])
+    with pytest.raises(MalformedEnvelope, match="implausible groups count"):
+        envelopes.from_binary(eng, header + (65536 + 1).to_bytes(4, "big"), "aggregate-bundle")
+    # one group: its authority record, then a signer count one above 2^20
+    blob = envelopes.to_binary(eng, fixed_scenario["bundle"])
+    record = envelopes.to_binary(eng, fixed_scenario["tas"][b"TA-1"][1])[6:]
+    one_group = header + (1).to_bytes(4, "big") + len(record).to_bytes(4, "big") + record
+    assert blob[10:].startswith(one_group[10:])  # the real bundle frames its first group so
+    with pytest.raises(MalformedEnvelope, match="implausible signers count"):
+        envelopes.from_binary(eng, one_group + ((1 << 20) + 1).to_bytes(4, "big"), "aggregate-bundle")
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3])
+def test_length_prefix_cut_short_rejected(fixed_scenario, cut):
+    eng = fixed_scenario["engine"]
+    blob = envelopes.to_binary(eng, fixed_scenario["signatures"][0])
+    with pytest.raises(MalformedEnvelope, match="truncated envelope"):
+        envelopes.from_binary(eng, blob[:6 + cut], "signature")
+
+
+@pytest.mark.parametrize("obj", [object(), b"bytes", None, scheme.VerifyResult(True)])
+def test_unserializable_object_raises_type_error(mock_engine, obj):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        envelopes.to_binary(mock_engine, obj)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        envelopes.to_json_obj(mock_engine, obj)

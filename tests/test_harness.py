@@ -377,6 +377,41 @@ def test_finalize_degenerate_denominator(engine):
         ch.finalize(bundle)
 
 
+def _dlog_forgery(ch, record, signers):
+    """A verifying one-authority bundle whose omega is computed from mock
+    discrete logs, as scripted_forger computes it."""
+    engine = ch.engine
+    cert = record.cert_bytes(engine)
+    omega = 0
+    for ident, message in signers:
+        h = ch.oracle_h1(ident, message, cert)
+        h0 = ch.h0_list[ident]
+        omega += (engine.dlog(h0.id0) + h * engine.dlog(h0.id1)) * engine.dlog(record.y_i)
+    bundle = scheme.AggregateBundle.build([(record, signers)], engine.element_g1(omega % Q))
+    assert scheme.verify(engine, ch.params, bundle, hashes=ch.oracle_suite())
+    return bundle
+
+
+@pytest.mark.parametrize("scalars, coins, signers, detail", [
+    # T unplanted; X and Y planted (coin' 0 for both)
+    ([99, 3, 2, 9, 3, 4, 5, 6, 7, 8, 10, 11], [0.99, 0.0, 0.99, 0.0, 0.99],
+     [(b"X", b"m"), (b"Y", b"n")], "more than one planted identity in forgery"),
+    # T unplanted; X planted, coin' 0
+    ([99, 3, 2, 9, 3, 4, 5], [0.99, 0.0, 0.99], [(b"X", b"m")], "target authority not planted"),
+    # T and X planted, coin' 1: h is programmed to -3/4
+    ([99, 3, 2, 9, 3, 4], [0.0, 0.0, 0.0], [(b"X", b"m")], "target hash was programmed"),
+], ids=["two-planted", "authority-unplanted", "hash-programmed"])
+def test_finalize_pattern_aborts(engine, scalars, coins, signers, detail):
+    rng = SeqRng(scalars=scalars, coins=coins)
+    ch = Challenger(engine, planted_instance(engine, 5, 7), 0.5, rng)
+    bundle = _dlog_forgery(ch, ch.oracle_lowerlevel_setup(b"T"), signers)
+    assert rng.scalars == [] and rng.coins == []
+    with pytest.raises(ReductionAbort) as err:
+        ch.finalize(bundle)
+    assert (err.value.site, err.value.detail) == ("forgery", detail)
+    assert (ch.abort_site, ch.abort_detail, ch.extraction) == ("forgery", detail, None)
+
+
 def test_finalize_target_hint_checked(engine):
     rng = random.Random(15)
     ch = Challenger(engine, planted_instance(engine, 5, 7), 0.5, rng)

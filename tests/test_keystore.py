@@ -65,10 +65,14 @@ def test_unknown_entry(setup):
             store.get(123)
 
 
+def _frame(payload: bytes) -> bytes:
+    """A CRC-valid journal frame holding ``payload``."""
+    return struct.pack(">I", len(payload)) + payload + struct.pack(">I", zlib.crc32(payload))
+
+
 def _record(rec) -> bytes:
     """A CRC-valid journal frame holding ``rec``."""
-    payload = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
-    return struct.pack(">I", len(payload)) + payload + struct.pack(">I", zlib.crc32(payload))
+    return _frame(json.dumps(rec, sort_keys=True, separators=(",", ":")).encode())
 
 
 def _reopened(store, reopen):
@@ -257,6 +261,10 @@ _CORRUPT_TAILS = {
     "at-not-number": lambda hexes: [dict(_USE, at="now")],
     "digest-not-hex": lambda hexes: [dict(_USE, digest="xyz")],
     "digest-not-32-bytes": lambda hexes: [dict(_USE, digest="00" * 31)],
+    "key-uppercase-hex": lambda hexes: [{"op": "add", "entry": 2, "key": hexes["B"].upper()}],
+    "key-hex-with-space": lambda hexes: [{"op": "add", "entry": 2, "key": " " + hexes["B"]}],
+    "digest-uppercase-hex": lambda hexes: [dict(_USE, digest="AB" * 32)],
+    "digest-hex-with-newline": lambda hexes: [dict(_USE, digest="ab" * 32 + "\n")],
     "second-use": lambda hexes: [_USE, _USE],
 }
 
@@ -277,6 +285,51 @@ def test_unknown_record_op_is_corrupt(setup, fixed_scenario, tail):
         fh.write(b"".join(frames))
     with pytest.raises(CorruptJournal, match=f"offset {offset}:"):
         KeyStore(path, eng)
+
+
+@pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"not json", b"", b'{"op": "add"'],
+                         ids=["not-utf8", "not-json", "empty", "cut-json"])
+def test_crc_valid_unreadable_payload_is_corrupt(setup, payload):
+    eng, _, key, path = setup
+    with KeyStore(path, eng) as store:
+        store.store_key(key)
+    offset = path.stat().st_size
+    with open(path, "ab") as fh:
+        fh.write(_frame(payload))
+    with pytest.raises(CorruptJournal, match=f"offset {offset}: unreadable"):
+        KeyStore(path, eng)
+
+
+@pytest.mark.parametrize("header", [b"", b"MTAOJRN", b"MTAOJRN\x02", b"XXXXXXXX"],
+                         ids=["missing", "short", "wrong-version", "wrong-magic"])
+def test_bad_journal_header_is_corrupt(setup, header):
+    eng, _, key, path = setup
+    with KeyStore(path, eng) as store:
+        store.store_key(key)
+    data = path.read_bytes()
+    path.write_bytes(header + data[len(keystore.JOURNAL_MAGIC):])
+    with pytest.raises(CorruptJournal, match="bad journal header"):
+        KeyStore(path, eng)
+
+
+@pytest.mark.parametrize("torn", [1, 2, 3])
+def test_torn_record_header_dropped_then_clean_reopen(setup, torn):
+    eng, trec, key, path = setup
+    with KeyStore(path, eng) as store:
+        a = store.store_key(key)
+    size = path.stat().st_size
+    with open(path, "ab") as fh:
+        fh.write(b"\x00" * torn)
+    with pytest.warns(UserWarning, match=f"torn record header at offset {size}"):
+        with KeyStore(path, eng) as store:
+            assert store.get(a).status == STATUS_FRESH
+    assert path.stat().st_size == size
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with KeyStore(path, eng) as store:
+            store.sign_once(a, trec, b"message-1")
+    with KeyStore(path, eng) as store:
+        assert store.get(a).status == STATUS_USED
 
 
 def test_damaged_stored_key_fails_on_use(bls_engine, tmp_path):

@@ -271,6 +271,42 @@ def test_verify_rejects_duplicate_pair(fixed_scenario):
     assert not result and "duplicate" in result.reason
 
 
+def _no_groups(groups):
+    return ()
+
+
+def _empty_group(groups):
+    return ((groups[0][0], ()),) + groups[1:]
+
+
+def _empty_identity(groups):
+    (ta, signers), rest = groups[0], groups[1:]
+    return ((ta, ((b"", signers[0][1]),) + signers[1:]),) + rest
+
+
+@pytest.mark.parametrize("degrade, reason", [
+    (_no_groups, "empty bundle"),
+    (_empty_group, "empty authority group"),
+    (_empty_identity, "empty signer identity"),
+])
+def test_verify_degenerate_bundle_spends_nothing(fixed_scenario, degrade, reason):
+    eng = fixed_scenario["engine"]
+    bundle = fixed_scenario["bundle"]
+    bad = scheme.AggregateBundle(groups=degrade(bundle.groups), omega=bundle.omega)
+    before = eng.pairing_count
+    # no certificate weight is drawn either: the scripted rng holds none
+    result = scheme.verify(eng, fixed_scenario["params"], bad, rng=ScriptedRng())
+    assert (result.valid, result.reason) == (False, reason)
+    assert (result.pairings_main, result.pairings_certificates) == (0, 0)
+    assert eng.pairing_count == before
+
+
+def test_lowerlevel_setup_rejects_empty_identity(fixed_scenario):
+    with pytest.raises(ValueError, match="non-empty"):
+        scheme.lowerlevel_setup(fixed_scenario["engine"], fixed_scenario["params"],
+                                fixed_scenario["master"], b"", ScriptedRng())
+
+
 def test_verify_same_identity_under_two_tas_allowed(mock_engine):
     eng = mock_engine
     rng = random.Random(12)
