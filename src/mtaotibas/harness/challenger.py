@@ -272,9 +272,9 @@ class Challenger:
         if not result:
             self._abort("forgery", f"forgery does not verify: {result.reason}")
 
-        # one pass: each authority's known exponent sum_j (alpha0_j + h_j * alpha1_j),
-        # and the one planted identity. verify has queried H1 for every signer,
-        # so every authority is in ta_by_cert and every table entry exists
+        # each authority's known exponent sum_j (alpha0_j + h_j * alpha1_j), and
+        # the one planted identity; verify has queried H1 for every signer, so
+        # every authority is in ta_by_cert and every table entry exists
         q = self.engine.order
         known = []  # (TASimRecord, int)
         found = None

@@ -188,8 +188,8 @@ def _params_doc(fixed_scenario, y):
 @pytest.mark.parametrize("y", ["008A", " 00 8a\n", "00 8a", "008a\n", "0x008a"])
 def test_only_canonical_hex_decodes(fixed_scenario, y):
     eng = fixed_scenario["engine"]
-    assert envelopes.from_json_obj(eng, _params_doc(fixed_scenario, "008a"), "system-params").y \
-        == eng.element_g2(0x8A)
+    params = envelopes.from_json_obj(eng, _params_doc(fixed_scenario, "008a"), "system-params")
+    assert params.y == eng.element_g2(0x8A)
     with pytest.raises(MalformedEnvelope, match="hex"):
         envelopes.from_json_obj(eng, _params_doc(fixed_scenario, y), "system-params")
 
@@ -229,7 +229,7 @@ def test_list_counts_above_cap_rejected(fixed_scenario):
     blob = envelopes.to_binary(eng, fixed_scenario["bundle"])
     record = envelopes.to_binary(eng, fixed_scenario["tas"][b"TA-1"][1])[6:]
     one_group = header + (1).to_bytes(4, "big") + len(record).to_bytes(4, "big") + record
-    assert blob[10:].startswith(one_group[10:])  # the real bundle frames its first group so
+    assert blob[10:].startswith(one_group[10:])  # framed as the real bundle's first group
     with pytest.raises(MalformedEnvelope, match="implausible signers count"):
         envelopes.from_binary(eng, one_group + ((1 << 20) + 1).to_bytes(4, "big"), "aggregate-bundle")
 
