@@ -283,7 +283,7 @@ def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcr
         instance = CoCDHInstance(engine.g1 ** planted_a, engine.g2 ** planted_b,
                                  planted_a, planted_b)
     else:
-        instance = CoCDHInstance.random(engine, rng, planted=engine.backend == "mock")
+        instance = CoCDHInstance.random(engine, rng)
     ch = Challenger(engine, instance, delta, rng)
     summary = run_workload(ch, ops)
     summary["delta"] = delta

@@ -40,9 +40,10 @@ class CoCDHInstance:
     planted_b: Optional[int] = None
 
     @classmethod
-    def random(cls, engine, rng, planted: bool = True) -> "CoCDHInstance":
+    def random(cls, engine, rng) -> "CoCDHInstance":
         a = engine.random_scalar(rng)
         b = engine.random_scalar(rng)
+        planted = engine.backend == "mock"
         return cls(
             a_elt=engine.g1 ** a,
             b_elt=engine.g2 ** b,

@@ -5,13 +5,15 @@ and curve arithmetic uses Jacobian coordinates. Variable-base G1 scalar
 multiplication is one kernel, g1_msm: a multi-scalar multiplication that
 splits each scalar with the GLV endomorphism phi and interleaves all
 points over one chain of doublings (Straus), each point with a table of
-i*P + j*phi(P), i, j in 0..3, normalized to affine with one inversion per
-call; g1_mul is its one-point case. g1_mul_plain, the reference, and
-g2_mul share one double-and-add ladder. The Miller loop runs in affine
-coordinates with batched inversions; one line step serves the tangent and
-the chord, and each line is divided by y_P (never 0: E(Fq) has odd order)
-to the shape c0 + c1*v + v*w. That is free, as the final exponentiation
-sends every Fq factor to 1 (Barreto-Kim-Lynn-Scott, CRYPTO 2002); it
+i*P + j*phi(P), i, j in 0..3; g1_mul is its one-point case. One batched
+normalization, one inversion for a whole list, brings G1 tables and
+results to affine. g1_mul_plain, the reference, and g2_mul share one
+double-and-add ladder. The Miller loop runs in affine coordinates with
+batched inversions; one line step serves the tangent and the chord, and
+each line is divided by y_P (never 0: E(Fq) has odd order) to the shape
+c0 + c1*v + v*w, applied as two plain Fq6 products by c0 + c1*v. The
+division is free, as the final exponentiation sends every Fq factor to 1
+(Barreto-Kim-Lynn-Scott, CRYPTO 2002); it
 computes the cube of the pairing through the decomposition
 3*(p^4-p^2+1)/r = (x-1)^2 (x+p) (x^2+p^2-1) + 3, an integer identity
 checked in the test suite. Cubing the reduced pairing preserves
@@ -45,6 +47,7 @@ X_CURVE = -0xD201000000010000  # BLS parameter; r = x^4 - x^2 + 1
 ABS_X = -X_CURVE
 H_EFF_G1 = 0xD201000000010001  # 1 - x, effective G1 cofactor multiplier
 _SQRT_EXP = (PRIME + 1) // 4  # p = 3 mod 4
+_INV2 = (PRIME + 1) // 2  # 1/2 mod p
 
 _G1X = 0x17F1D3A73197D7942695638C4FA9AC0FC3688C4F9774B905A14E3A3F171BAC586C55E83FF97A1AEFFB3AF00ADB22C6BB
 _G1Y = 0x08B3F481E3AAA0F1A09E30ED741D8AE4FCF5E095D5D00AF600DB18CB2C04B3EDD03CC744A2888AE40CAA232946C5E7E1
@@ -210,28 +213,6 @@ def fq6_inv(x):
     return (fq2_mul(t0, dinv), fq2_mul(t1, dinv), fq2_mul(t2, dinv))
 
 
-def _fq6_mul_sparse01(x, c0, c1):
-    # x * (c0 + c1*v), inlined
-    (a0r, a0i), (a1r, a1i), (a2r, a2i) = x
-    c0r, c0i = c0
-    c1r, c1i = c1
-    m00r = a0r * c0r - a0i * c0i
-    m00i = a0r * c0i + a0i * c0r
-    m11r = a1r * c1r - a1i * c1i
-    m11i = a1r * c1i + a1i * c1r
-    m01r = a0r * c1r - a0i * c1i + a1r * c0r - a1i * c0i
-    m01i = a0r * c1i + a0i * c1r + a1r * c0i + a1i * c0r
-    m21r = a2r * c1r - a2i * c1i
-    m21i = a2r * c1i + a2i * c1r
-    m20r = a2r * c0r - a2i * c0i
-    m20i = a2r * c0i + a2i * c0r
-    return (
-        ((m00r + m21r - m21i) % PRIME, (m00i + m21r + m21i) % PRIME),
-        (m01r % PRIME, m01i % PRIME),
-        ((m11r + m20r) % PRIME, (m11i + m20i) % PRIME),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Fq12 = Fq6[w] / (w^2 - v), elements as (a, b) = a + b*w
 
@@ -270,12 +251,11 @@ def fq12_pow(x, e):
 
 def fq12_mul_by_line(f, c0, c1):
     # f * (l + v*w) with l = c0 + c1*v, the shape of a scaled line function:
-    # (a + b*w)(l + v*w) = (a*l + b*v^2) + (a*v + b*l)*w, as w^2 = v
+    # (a + b*w)(l + v*w) = (a*l + b*v^2) + (a*v + b*l)*w, as w^2 = v. The
+    # zero third coefficient of l costs fq6_mul next to nothing.
     a, b = f
-    return (
-        fq6_add(_fq6_mul_sparse01(a, c0, c1), fq6_mul_v(fq6_mul_v(b))),
-        fq6_add(fq6_mul_v(a), _fq6_mul_sparse01(b, c0, c1)),
-    )
+    line = (c0, c1, _FQ2_ZERO)
+    return (fq6_add(fq6_mul(a, line), fq6_mul_v(fq6_mul_v(b))), fq6_add(fq6_mul_v(a), fq6_mul(b, line)))
 
 
 # Frobenius: w^(p-1) = xi^((p-1)/6), applied per power-of-w coefficient
@@ -344,14 +324,6 @@ def _j_add_affine(X1, Y1, Z1, x2, y2):
     return (X3, Y3, Z3)
 
 
-def _j_normalize(X, Y, Z):
-    if Z == 0:
-        return None
-    zi = pow(Z, -1, PRIME)
-    zi2 = zi * zi % PRIME
-    return (X * zi2 % PRIME, Y * zi2 * zi % PRIME)
-
-
 def g1_neg(pt):
     if pt is None:
         return None
@@ -392,7 +364,7 @@ def g1_mul_plain(pt, k):
         raise ValueError("g1_mul_plain needs k >= 0")
     if pt is None or k == 0:
         return None
-    return _j_normalize(*_ladder(_j_double, _j_add_affine, (0, 1, 0), pt, k))
+    return _j_batch_normalize([_ladder(_j_double, _j_add_affine, (0, 1, 0), pt, k)])[0]
 
 
 # GLV: phi(x, y) = (beta*x, y) acts as multiplication by LAMBDA on the
@@ -404,20 +376,22 @@ GLV_BETA = 0x1A0111EA397FE699EC02408663D4DE85AA0D857D89759AD4897D29650FB85F9B409
 
 
 def _j_batch_normalize(points):
-    # Montgomery's trick: one inversion for all the Z coordinates, none zero
+    # Jacobian to affine with Montgomery's trick: one inversion for all the
+    # Z coordinates; a point with Z = 0 is the identity and becomes None
     prefix = []
     acc = 1
     for _, _, Z in points:
         prefix.append(acc)
-        acc = acc * Z % PRIME
+        acc = acc * (Z or 1) % PRIME
     inv = pow(acc, -1, PRIME)
     out = [None] * len(points)
     for i in range(len(points) - 1, -1, -1):
         X, Y, Z = points[i]
-        zi = inv * prefix[i] % PRIME
-        inv = inv * Z % PRIME
-        zi2 = zi * zi % PRIME
-        out[i] = (X * zi2 % PRIME, Y * zi2 * zi % PRIME)
+        if Z:
+            zi = inv * prefix[i] % PRIME
+            inv = inv * Z % PRIME
+            zi2 = zi * zi % PRIME
+            out[i] = (X * zi2 % PRIME, Y * zi2 * zi % PRIME)
     return out
 
 
@@ -468,7 +442,7 @@ def g1_msm(pairs):
                     acc = _j_add_affine(*acc, x, y)
     for x, y in ones:
         acc = _j_add_affine(*acc, x, y)
-    return _j_normalize(*acc)
+    return _j_batch_normalize([acc])[0]
 
 
 def g1_mul(pt, k):
@@ -653,19 +627,14 @@ def _fq2_sqrt(t):
     # via the norm: z = z0 + z1*u with z0^2 = (a +/- sqrt(a^2+b^2)) / 2
     a, b = t
     if b == 0:
+        # -1 is a non-square for p = 3 mod 4, so a or -a has a root in Fq
         z0 = _fq_sqrt(a)
-        if z0 is not None:
-            return (z0, 0)
-        z1 = _fq_sqrt(-a % PRIME)
-        if z1 is not None:
-            return (0, z1)
-        return None
+        return (z0, 0) if z0 is not None else (0, _fq_sqrt(-a % PRIME))
     n = _fq_sqrt((a * a + b * b) % PRIME)
     if n is None:
         return None
-    inv2 = pow(2, -1, PRIME)
     for root in (n, -n % PRIME):
-        c = (a + root) * inv2 % PRIME
+        c = (a + root) * _INV2 % PRIME
         z0 = _fq_sqrt(c)
         if z0 is None or z0 == 0:
             continue

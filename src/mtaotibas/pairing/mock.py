@@ -13,7 +13,7 @@ their outputs; unknown inputs fall back to deterministic wide hashing.
 
 from typing import Optional
 
-from ..encoding import hash_to_int_wide
+from ..encoding import from_hex, hash_to_int_wide
 from ..errors import InvalidElement
 from .engine import PairingEngine
 
@@ -67,7 +67,10 @@ def load_vector_table(path) -> dict:
 
     One record per line: ``op | hex-inputs | hex-output`` where op is
     ``hash_to_g1`` or ``hash_to_scalar`` and the inputs are the domain tag
-    and the hashed bytes. Blank lines and ``#`` comments are skipped.
+    and the hashed bytes. Blank lines and ``#`` comments are skipped. Hex is
+    canonical (lowercase, unspaced), and an output is 2 bytes in the op's
+    range: Z_q for ``hash_to_g1``, [1, q - 1] for ``hash_to_scalar``.
+    ValueError names the offending ``path:line``.
     """
     table = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -84,8 +87,17 @@ def load_vector_table(path) -> dict:
             hexes = inputs.split()
             if len(hexes) != 2:
                 raise ValueError(f"{path}:{lineno}: expected tag and input hex")
-            tag, data = bytes.fromhex(hexes[0]), bytes.fromhex(hexes[1])
-            table[(op, tag, data)] = int.from_bytes(bytes.fromhex(output), "big")
+            try:
+                tag, data, raw = (from_hex(h) for h in (*hexes, output))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if len(raw) != 2:
+                raise ValueError(f"{path}:{lineno}: an output is 2 bytes, as mock elements and scalars are")
+            value = int.from_bytes(raw, "big")
+            low = 0 if op == "hash_to_g1" else 1
+            if not low <= value < MOCK_MODULUS:
+                raise ValueError(f"{path}:{lineno}: {op} output {value} outside [{low}, {MOCK_MODULUS - 1}]")
+            table[(op, tag, data)] = value
     return table
 
 

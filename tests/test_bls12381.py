@@ -168,6 +168,86 @@ def test_mul_by_line_matches_dense():
         assert curve.fq12_mul_by_line(f, c0, c1) == curve.fq12_mul(f, ((c0, c1, zero), (zero, one, zero)))
 
 
+def _edge_fq2(rng):
+    # zero, Fq-only and p - 1 coefficients beside random ones
+    p = curve.PRIME
+    return rng.choice([(0, 0), (rng.randrange(1, p), 0), (0, rng.randrange(1, p)), (p - 1, 0), (0, p - 1),
+                       (p - 1, p - 1), (1, p - 1), (rng.randrange(p), rng.randrange(p))])
+
+
+def _edge_fq12(rng):
+    return tuple(tuple(_edge_fq2(rng) for _ in range(3)) for _ in range(2))
+
+
+_FQ12_ZERO = ((curve._FQ2_ZERO,) * 3,) * 2
+
+
+def test_squarings_match_products():
+    rng = random.Random(14)
+    for _ in range(40):
+        x = _edge_fq2(rng)
+        assert curve.fq2_sqr(x) == curve.fq2_mul(x, x), x
+    for _ in range(25):
+        x = _edge_fq12(rng)
+        assert curve.fq12_sqr(x) == curve.fq12_mul(x, x), x
+    for x in (curve.FQ12_ONE, _FQ12_ZERO):
+        assert curve.fq12_sqr(x) == curve.fq12_mul(x, x)
+
+
+def test_fq2_batch_inv_matches_single():
+    rng = random.Random(15)
+    p = curve.PRIME
+    fixed = [(1, 0), (p - 1, 0), (0, 1), (0, p - 1), (p - 1, p - 1)]
+    for n in (1, 2, 5):
+        batches = [fixed[:n]]
+        for _ in range(5):
+            batch = []
+            while len(batch) < n:
+                x = _edge_fq2(rng)
+                if x != (0, 0):
+                    batch.append(x)
+            batches.append(batch)
+        for items in batches:
+            invs = curve.fq2_batch_inv(items)
+            assert invs == [curve.fq2_inv(x) for x in items], items
+            assert all(curve.fq2_mul(x, y) == (1, 0) for x, y in zip(items, invs))
+
+
+def _jacobian_mul(pt, k):
+    return curve._ladder(curve._j_double, curve._j_add_affine, (0, 1, 0), pt, k)
+
+
+def test_j_batch_normalize_matches_plain():
+    # ladder outputs, the identity among them, against g1_mul_plain and the
+    # affine chord-and-tangent sum; affine points lifted to Jacobian with
+    # Z = lambda, p - 1 included, come back unchanged
+    g = (curve._G1X, curve._G1Y)
+    rng = random.Random(16)
+    r, p = curve.ORDER, curve.PRIME
+    ks = [1, 2, 3, r - 1, r, r + 1] + [rng.randrange(2, r) for _ in range(4)]
+    assert curve._j_batch_normalize([_jacobian_mul(g, k) for k in ks]) == [curve.g1_mul_plain(g, k) for k in ks]
+    sums = [g]
+    for _ in range(5):
+        sums.append(curve.g1_add(sums[-1], g))
+    assert curve._j_batch_normalize([_jacobian_mul(g, k) for k in range(1, 7)]) == sums
+    assert curve._j_batch_normalize([(0, 1, 0)]) == [None]
+    assert curve._j_batch_normalize([]) == []
+    pts = [curve.g1_mul_plain(g, k) for k in (1, 5, r - 1)]
+    lams = [1, p - 1, rng.randrange(2, p)]
+    lifted = [(x * lam**2 % p, y * lam**3 % p, lam) for (x, y), lam in zip(pts, lams)]
+    assert curve._j_batch_normalize(lifted[:1] + [(0, 1, 0)] + lifted[1:]) == pts[:1] + [None] + pts[1:]
+
+
+def test_fq12_inverse_and_frobenius():
+    rng = random.Random(17)
+    samples = [_edge_fq12(rng) for _ in range(6)] + [curve.FQ12_ONE]
+    for x in samples:
+        if x != _FQ12_ZERO:
+            assert curve.fq12_mul(x, curve.fq12_inv(x)) == curve.FQ12_ONE, x
+    for x in samples[:4]:
+        assert curve.fq12_frob(x) == curve.fq12_pow(x, curve.PRIME), x
+
+
 def test_g1_mul_plain_rejects_negative_scalar():
     g = (curve._G1X, curve._G1Y)
     for k in (-1, -5):

@@ -204,13 +204,23 @@ def test_mock_table_rejected_on_production(workdir):
     b"hash_to_g1 | zz 00 | 0001\n",
     b"hash_to_g2 | 00 00 | 0001\n",
     b"\xff\xfe hash_to_g1 | 00 00 | 0001\n",
-], ids=["no-fields", "bad-hex", "unknown-op", "not-utf8"])
+    b"hash_to_g1 | 4d 41 | 03f1\n",
+    b"hash_to_g1 | 4d 41 | ffff\n",
+    b"hash_to_scalar | 4d 41 | 0000\n",
+    b"hash_to_scalar | 4d 41 | 2710\n",
+    b"hash_to_g1 | 4D 41 | 000a\n",
+    b"hash_to_g1 | 4d 41 | 00 0a\n",
+    b"hash_to_g1 | 4d 41 | FFFF\n",
+], ids=["no-fields", "bad-hex", "unknown-op", "not-utf8", "g1-at-q", "g1-above-q", "scalar-zero",
+        "scalar-above-q", "uppercase-input", "spaced-output", "uppercase-output"])
 def test_malformed_mock_table_exits_2(workdir, content):
     Path("vectors.txt").write_bytes(content)
     result = CliRunner().invoke(main, MOCK + ["root-setup", "--out-params", "p.json", "--out-master", "m.json"])
     assert result.exit_code == 2, result.output
     assert "error:" in result.stderr.lower()
     assert isinstance(result.exception, SystemExit)
+    if content.isascii():
+        assert "vectors.txt:1:" in result.stderr, result.stderr
 
 
 def test_aggregate_argument_count_checked(workdir):

@@ -456,7 +456,9 @@ def test_forger_gives_up_when_pattern_unreachable(engine):
 
 def test_forger_requires_mock(bls_engine):
     rng = random.Random(19)
-    ch = Challenger(bls_engine, CoCDHInstance.random(bls_engine, rng, planted=False), 0.5, rng)
+    instance = CoCDHInstance.random(bls_engine, rng)
+    assert instance.planted_a is None and instance.planted_b is None  # exponents stay on the mock
+    ch = Challenger(bls_engine, instance, 0.5, rng)
     with pytest.raises(Exception):
         scripted_forger(ch, rng=random.Random(5))
 

@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,21 @@ def test_vector_table_rejects_garbage(tmp_path):
     path.write_text("hash_to_g1 | zz | 0001\n")
     with pytest.raises(ValueError):
         load_vector_table(path)
+
+
+def test_vector_table_outputs_checked(tmp_path):
+    # an output is 2 bytes: hash_to_g1 in Z_q, hash_to_scalar in [1, q - 1]
+    path = tmp_path / "edges.txt"
+    path.write_text("hash_to_g1 | 4d 00 | 0000\nhash_to_g1 | 4d 01 | 03f0\n"
+                    "hash_to_scalar | 4d 00 | 0001\nhash_to_scalar | 4d 01 | 03f0\n")
+    assert load_vector_table(path) == {
+        ("hash_to_g1", b"M", b"\x00"): 0, ("hash_to_g1", b"M", b"\x01"): Q - 1,
+        ("hash_to_scalar", b"M", b"\x00"): 1, ("hash_to_scalar", b"M", b"\x01"): Q - 1}
+    for line in ("hash_to_g1 | 4d 00 | 03f1", "hash_to_scalar | 4d 00 | 0000", "hash_to_g1 | 4d 00 | 000A",
+                 "hash_to_g1 | 4d 00 |", "hash_to_g1 | 4d 00 | 0a", "hash_to_scalar | 4d 00 | 0000000a"):
+        path.write_text("# comment\n\n" + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+            load_vector_table(path)
 
 
 def test_random_scalar_never_zero(mock_engine):
