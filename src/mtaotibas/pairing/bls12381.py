@@ -8,17 +8,29 @@ points over one chain of doublings (Straus), each point with a table of
 i*P + j*phi(P), i, j in 0..3; g1_mul is its one-point case. One batched
 normalization, one inversion for a whole list, brings G1 tables and
 results to affine. g1_mul_plain, the reference, and g2_mul share one
-double-and-add ladder. The Miller loop runs in affine coordinates with
-batched inversions; one line step serves the tangent and the chord, and
-each line is divided by y_P (never 0: E(Fq) has odd order) to the shape
-c0 + c1*v + v*w, applied as two plain Fq6 products by c0 + c1*v. The
-division is free, as the final exponentiation sends every Fq factor to 1
-(Barreto-Kim-Lynn-Scott, CRYPTO 2002); it
-computes the cube of the pairing through the decomposition
+double-and-add ladder.
+
+The Miller loop is lines, then evaluation. The lines depend on the G2
+argument Q alone: _g2_lines walks T from Q to [|x|]Q in affine coordinates,
+tangent and chord alike, with one batched inversion per step across all the
+points, and keeps each step's (lambda, lambda*x_T - y_T). The evaluation
+loop squares f at each doubling step and multiplies in every term's line,
+divided by y_P (never 0: E(Fq) has odd order) to the shape c0 + c1*v + v*w,
+as two plain Fq6 products by c0 + c1*v. multi_miller_loop builds the lines
+of its distinct G2 points on each call; an engine's multi_pair takes them
+from a per-engine LRU of _LINE_CACHE_POINTS points, as the scheme's G2
+arguments (g2, y, each authority's y_i) recur (the fixed-argument pairing of
+Costello-Stebila, LATINCRYPT 2010). Both run the same evaluation loop. The
+division by y_P is free, as the final exponentiation sends every Fq factor
+to 1 (Barreto-Kim-Lynn-Scott, CRYPTO 2002); it computes the cube of the
+pairing through the decomposition
 3*(p^4-p^2+1)/r = (x-1)^2 (x+p) (x^2+p^2-1) + 3, an integer identity
-checked in the test suite. Cubing the reduced pairing preserves
-bilinearity and non-degeneracy, so all protocol equations are unaffected;
-only raw GT byte values differ from other libraries.
+checked in the test suite. After its easy part every value lies in the
+cyclotomic subgroup, so its squarings are Granger-Scott's (PKC 2010):
+three Fq4 squarings in flat integer formulas, half the products of
+fq12_sqr. Cubing the reduced pairing preserves bilinearity and
+non-degeneracy, so all protocol equations are unaffected; only raw GT byte
+values differ from other libraries.
 
 Points are encoded compressed, in the zcash style: x as 48-byte big-endian
 Fq coordinates (an Fq2 x as c1 then c0, so G1 takes 48 bytes and G2 96),
@@ -35,6 +47,8 @@ unsupported on this backend.
 
 import hmac
 import struct
+import threading
+from collections import OrderedDict
 from functools import lru_cache
 
 from ..encoding import expand_bytes
@@ -554,48 +568,133 @@ def g2_in_subgroup(pt):
 
 
 # ---------------------------------------------------------------------------
-# Pairing: affine Miller loop with shared iteration across terms, lines
-# scaled by 1/y_P, and the cubed final exponentiation, as described in the
-# module docstring.
+# Pairing: the Miller loop as lines, then evaluation, with lines scaled by
+# 1/y_P, and the cubed final exponentiation, as described in the module
+# docstring.
+
+# the Miller loop's steps over the bits of ABS_X below the top one: a
+# doubling (True) for every bit, then an addition (False) for each set bit
+_MILLER_STEPS = tuple(step for bit in bin(ABS_X)[3:] for step in ((True, False) if bit == "1" else (True,)))
 
 
-def _line_step(f, ps, ts, nums, dens, xs):
-    # T moves to T + S for every term, S being T (the tangent) or Q (the
-    # chord), with slope nums[i] / dens[i] and x_S = xs[i]; f takes in the
-    # line ((lambda*x_T - y_T) - lambda*x_P*v) / y_P + v*w, with ps[i] =
-    # (1/y_P, -x_P/y_P). On the chord lambda*x_T - y_T = lambda*x_Q - y_Q.
-    invs = fq2_batch_inv(dens)
-    for i, (xt, yt) in enumerate(ts):
-        inv_yp, xp_over_yp = ps[i]
-        lam = fq2_mul(nums[i], invs[i])
-        x3 = fq2_sub(fq2_sub(fq2_sqr(lam), xt), xs[i])
-        ts[i] = (x3, fq2_sub(fq2_mul(lam, fq2_sub(xt, x3)), yt))
-        f = fq12_mul_by_line(f, fq2_scale(fq2_sub(fq2_mul(lam, xt), yt), inv_yp), fq2_scale(lam, xp_over_yp))
-    return f
+def _g2_lines(qs):
+    """The line coefficients of the Miller loop for distinct affine G2 points:
+    per point, one (lambda, lambda*x_T - y_T) per step of _MILLER_STEPS, as T
+    runs from Q to [|x|]Q by tangents (S = T) and chords (S = Q). They depend
+    on Q alone. Each step inverts the slope denominators of all the points
+    with one batched inversion."""
+    ts = list(qs)
+    tables = [[] for _ in qs]
+    for double in _MILLER_STEPS:
+        if double:
+            nums = [fq2_scale(fq2_sqr(xt), 3) for xt, _ in ts]
+            dens = [fq2_add(yt, yt) for _, yt in ts]
+            xs = [xt for xt, _ in ts]
+        else:
+            nums = [fq2_sub(q[1], t[1]) for q, t in zip(qs, ts)]
+            dens = [fq2_sub(q[0], t[0]) for q, t in zip(qs, ts)]
+            xs = [xq for xq, _ in qs]
+        for i, inv in enumerate(fq2_batch_inv(dens)):
+            xt, yt = ts[i]
+            lam = fq2_mul(nums[i], inv)
+            x3 = fq2_sub(fq2_sub(fq2_sqr(lam), xt), xs[i])
+            ts[i] = (x3, fq2_sub(fq2_mul(lam, fq2_sub(xt, x3)), yt))
+            tables[i].append((lam, fq2_sub(fq2_mul(lam, xt), yt)))
+    return tables
 
 
-def multi_miller_loop(pairs):
-    # pairs: ((xp, yp) in Fq, (xq, yq) in Fq2); terms with an identity drop out
+def _miller_loop(pairs, line_tables):
+    # pairs: ((xp, yp) in Fq, (xq, yq) in Fq2); terms with an identity drop
+    # out. line_tables(qs) gives the _g2_lines tables of distinct points qs.
+    # Each step squares f (doublings only) and multiplies in every term's
+    # line ((lambda*x_T - y_T) - lambda*x_P*v) / y_P + v*w.
     pairs = [(p, q) for p, q in pairs if p is not None and q is not None]
     if not pairs:
         return FQ12_ONE
-    ps = [(pow(yp, -1, PRIME), xp) for (xp, yp), _ in pairs]
-    ps = [(inv_yp, -xp * inv_yp % PRIME) for inv_yp, xp in ps]
-    qs = [q for _, q in pairs]
-    ts = list(qs)
+    qs = list(dict.fromkeys(q for _, q in pairs))
+    tables = dict(zip(qs, line_tables(qs)))
+    terms = []
+    for (xp, yp), q in pairs:
+        inv_yp = pow(yp, -1, PRIME)
+        terms.append((tables[q], inv_yp, -xp * inv_yp % PRIME))
     f = FQ12_ONE
-    for bit in bin(ABS_X)[3:]:
-        f = _line_step(fq12_sqr(f), ps, ts, [fq2_scale(fq2_sqr(xt), 3) for xt, _ in ts],
-                       [fq2_add(yt, yt) for _, yt in ts], [xt for xt, _ in ts])
-        if bit == "1":
-            f = _line_step(f, ps, ts, [fq2_sub(q[1], t[1]) for q, t in zip(qs, ts)],
-                           [fq2_sub(q[0], t[0]) for q, t in zip(qs, ts)], [xq for xq, _ in qs])
+    for k, double in enumerate(_MILLER_STEPS):
+        if double:
+            f = fq12_sqr(f)
+        for lines, inv_yp, xp_over_yp in terms:
+            lam, mu = lines[k]
+            f = fq12_mul_by_line(f, fq2_scale(mu, inv_yp), fq2_scale(lam, xp_over_yp))
     return fq12_conj(f)  # the curve parameter is negative
+
+
+def multi_miller_loop(pairs):
+    return _miller_loop(pairs, _g2_lines)
+
+
+def _cyclotomic_sqr(f):
+    # Granger-Scott squaring, equal to fq12_sqr only in the cyclotomic
+    # subgroup, where the conjugate is the inverse. With t = w^3 (t^2 = xi),
+    # f = A + B*w + C*w^2 over Fq4 = Fq2[t], A = g0 + g3*t, B = g1 + g4*t and
+    # C = g2 + g5*t for g_k the coefficient of w^k, and
+    # f^2 = (3A^2 - 2conj(A)) + (3t*C^2 + 2conj(B))*w + (3B^2 - 2conj(C))*w^2.
+    # Each Fq4 square (a + b*t)^2 = (a^2 + xi*b^2) + ((a+b)^2 - a^2 - b^2)*t
+    # is three Fq2 squarings; reductions wait for the twelve outputs.
+    ((g0r, g0i), (g2r, g2i), (g4r, g4i)), ((g1r, g1i), (g3r, g3i), (g5r, g5i)) = f
+    a0r = (g0r + g0i) * (g0r - g0i)  # A^2 = (a0 + xi*a1) + (s - a0 - a1)*t
+    a0i = 2 * g0r * g0i
+    a1r = (g3r + g3i) * (g3r - g3i)
+    a1i = 2 * g3r * g3i
+    sr = g0r + g3r
+    si = g0i + g3i
+    sqr_r = (sr + si) * (sr - si)
+    sqr_i = 2 * sr * si
+    A0r = a0r + a1r - a1i
+    A0i = a0i + a1r + a1i
+    A1r = sqr_r - a0r - a1r
+    A1i = sqr_i - a0i - a1i
+    b0r = (g1r + g1i) * (g1r - g1i)  # B^2
+    b0i = 2 * g1r * g1i
+    b1r = (g4r + g4i) * (g4r - g4i)
+    b1i = 2 * g4r * g4i
+    sr = g1r + g4r
+    si = g1i + g4i
+    sqr_r = (sr + si) * (sr - si)
+    sqr_i = 2 * sr * si
+    B0r = b0r + b1r - b1i
+    B0i = b0i + b1r + b1i
+    B1r = sqr_r - b0r - b1r
+    B1i = sqr_i - b0i - b1i
+    c0r = (g2r + g2i) * (g2r - g2i)  # C^2
+    c0i = 2 * g2r * g2i
+    c1r = (g5r + g5i) * (g5r - g5i)
+    c1i = 2 * g5r * g5i
+    sr = g2r + g5r
+    si = g2i + g5i
+    sqr_r = (sr + si) * (sr - si)
+    sqr_i = 2 * sr * si
+    C0r = c0r + c1r - c1i
+    C0i = c0i + c1r + c1i
+    C1r = sqr_r - c0r - c1r
+    C1i = sqr_i - c0i - c1i
+    # t*C^2 = xi*C1 + C0*t
+    return (
+        (((3 * A0r - 2 * g0r) % PRIME, (3 * A0i - 2 * g0i) % PRIME),
+         ((3 * B0r - 2 * g2r) % PRIME, (3 * B0i - 2 * g2i) % PRIME),
+         ((3 * C0r - 2 * g4r) % PRIME, (3 * C0i - 2 * g4i) % PRIME)),
+        (((3 * (C1r - C1i) + 2 * g1r) % PRIME, (3 * (C1r + C1i) + 2 * g1i) % PRIME),
+         ((3 * A1r + 2 * g3r) % PRIME, (3 * A1i + 2 * g3i) % PRIME),
+         ((3 * B1r + 2 * g5r) % PRIME, (3 * B1i + 2 * g5i) % PRIME)),
+    )
+
+
+def _cyclotomic_pow_x(f):
+    # f^|x| for f in the cyclotomic subgroup
+    return _pow(fq12_mul, _cyclotomic_sqr, FQ12_ONE, f, ABS_X)
 
 
 def _exp_x_minus_1(f):
     # f^(x-1) in the cyclotomic subgroup (inverse = conjugate there)
-    return fq12_mul(fq12_conj(fq12_pow(f, ABS_X)), fq12_conj(f))
+    return fq12_mul(fq12_conj(_cyclotomic_pow_x(f)), fq12_conj(f))
 
 
 def final_exponentiation(f):
@@ -604,12 +703,12 @@ def final_exponentiation(f):
     f = fq12_mul(fq12_frob2(f), f)
     # hard part, cubed: exponent (x-1)^2 (x+p) (x^2+p^2-1) + 3
     t = _exp_x_minus_1(_exp_x_minus_1(f))
-    t = fq12_mul(fq12_conj(fq12_pow(t, ABS_X)), fq12_frob(t))  # ^(x+p)
+    t = fq12_mul(fq12_conj(_cyclotomic_pow_x(t)), fq12_frob(t))  # ^(x+p)
     t = fq12_mul(
-        fq12_mul(fq12_pow(fq12_pow(t, ABS_X), ABS_X), fq12_frob2(t)),  # ^(x^2+p^2)
+        fq12_mul(_cyclotomic_pow_x(_cyclotomic_pow_x(t)), fq12_frob2(t)),  # ^(x^2+p^2)
         fq12_conj(t),  # ^(-1)
     )
-    return fq12_mul(t, fq12_mul(fq12_sqr(f), f))
+    return fq12_mul(t, fq12_mul(_cyclotomic_sqr(f), f))
 
 
 # ---------------------------------------------------------------------------
@@ -795,6 +894,10 @@ class GTElement(_Element):
     _encode = staticmethod(encode_gt_value)
 
 
+# G2 points whose Miller lines (about 32 KB each) an engine keeps
+_LINE_CACHE_POINTS = 16
+
+
 class Bls12381Engine(PairingEngine):
     """Production PairingEngine over BLS12-381."""
 
@@ -814,6 +917,10 @@ class Bls12381Engine(PairingEngine):
         self.identity_gt = GTElement(FQ12_ONE)
         # hash_to_g1 is a pure function of (tag, input); memoize it
         self._hash_g1 = lru_cache(maxsize=8192)(hash_to_g1_point)
+        # the Miller lines of recent G2 arguments, least recently used first;
+        # filled by multi_pair, so an engine that never pairs builds none
+        self._lines = OrderedDict()
+        self._lines_lock = threading.Lock()
 
     # pair, multi_pair, hash_to_g1 and the decoders stay in this class body:
     # the benchmark's tracer wraps them here by name
@@ -821,7 +928,28 @@ class Bls12381Engine(PairingEngine):
 
     def multi_pair(self, terms) -> GTElement:
         pairs = [(p.pt, r.pt) for p, r in self._counted(terms)]
-        return GTElement(final_exponentiation(multi_miller_loop(pairs)))
+        return GTElement(final_exponentiation(_miller_loop(pairs, self._line_tables)))
+
+    def _line_tables(self, qs) -> list:
+        """_g2_lines(qs) through the engine's LRU of _LINE_CACHE_POINTS
+        points: g2, y and each y_i recur across the scheme's equations. The
+        misses of one call are built together, outside the lock."""
+        found = {}
+        with self._lines_lock:
+            for q in qs:
+                if q in self._lines:
+                    self._lines.move_to_end(q)
+                    found[q] = self._lines[q]
+        fresh = [q for q in qs if q not in found]
+        if fresh:
+            found.update(zip(fresh, _g2_lines(fresh)))
+            with self._lines_lock:
+                for q in fresh:
+                    self._lines[q] = found[q]
+                    self._lines.move_to_end(q)
+                while len(self._lines) > _LINE_CACHE_POINTS:
+                    self._lines.popitem(last=False)
+        return [found[q] for q in qs]
 
     def hash_to_g1(self, tag: bytes, data: bytes) -> G1Point:
         # an empty tag raises ValueError in expand_bytes and is never cached

@@ -29,8 +29,12 @@ class PairingEngine:
     ``g1_product``'s loop of ``*`` and ``**`` with a faster kernel that
     passes its bases through ``_g1_terms``.
 
-    Apart from the counter, which one lock guards and which adds one per
-    pairing term, an engine is immutable and can be shared across threads.
+    An engine can be shared across threads. Its mutable state is the
+    counter, which one lock guards and which adds one per pairing term, and
+    in the production backend the caches of two pure functions: the
+    hash-to-G1 memo (``functools.lru_cache``, thread-safe itself) and the
+    Miller lines of recent G2 arguments, whose bookkeeping a second lock
+    guards. No cache changes a result.
     """
 
     def __init__(self):

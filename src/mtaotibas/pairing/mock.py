@@ -70,9 +70,11 @@ def load_vector_table(path) -> dict:
     and the hashed bytes. Blank lines and ``#`` comments are skipped. Hex is
     canonical (lowercase, unspaced), and an output is 2 bytes in the op's
     range: Z_q for ``hash_to_g1``, [1, q - 1] for ``hash_to_scalar``.
-    ValueError names the offending ``path:line``.
+    Each (op, tag, input) has one record. ValueError names the offending
+    ``path:line``.
     """
     table = {}
+    first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -97,7 +99,11 @@ def load_vector_table(path) -> dict:
             low = 0 if op == "hash_to_g1" else 1
             if not low <= value < MOCK_MODULUS:
                 raise ValueError(f"{path}:{lineno}: {op} output {value} outside [{low}, {MOCK_MODULUS - 1}]")
-            table[(op, tag, data)] = value
+            key = (op, tag, data)
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate record, first at line {first_line[key]}")
+            first_line[key] = lineno
+            table[key] = value
     return table
 
 

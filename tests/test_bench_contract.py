@@ -59,3 +59,24 @@ def test_every_bls_name_perfbench_reads_exists():
     assert {"Bls12381Engine", "g1_mul", "multi_miller_loop", "decode_g2_point"} <= set(read)
     missing = {name: files for name, files in read.items() if not hasattr(bls12381, name)}
     assert not missing, f"perfbench reads names the BLS12-381 module lacks: {missing}"
+
+
+def test_traced_multi_pair_counts_on_the_cached_path():
+    # the benchmark reads pairing.final_exps from the wrapped module-level
+    # final_exponentiation and pairing.miller_terms from pairing_count; a
+    # pairing on cached Miller lines must still reach both
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    engine = bls12381.Bls12381Engine()
+    terms = [(engine.g1 ** k, engine.g2 ** (k + 3)) for k in (2, 5, 7)]
+    try:
+        tracing.install_layers(tracer, bls12381, envelopes, scheme, keystore)
+        for cached in (0, 3):
+            assert len(engine._lines) == cached
+            before, exps = engine.pairing_count, tracer.calls["pairing.final_exponentiation"]
+            engine.multi_pair(terms)
+            assert engine.pairing_count - before == 3
+            assert tracer.calls["pairing.final_exponentiation"] - exps == 1
+            assert tracer.calls["pairing.multi_pair"] == 1 + cached // 3
+    finally:
+        tracer.uninstall()

@@ -1,6 +1,8 @@
 import hashlib
 import os
 import random
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -114,6 +116,164 @@ def test_glv_matches_plain():
         assert curve.g1_mul(g, k) == curve.g1_mul_plain(g, k % curve.ORDER)
     assert curve.g1_mul(g, 0) is None
     assert curve.g1_mul(g, curve.ORDER) is None
+
+
+def _reference_line_step(f, ps, ts, nums, dens, xs):
+    # T moves to T + S for every term, S being T (the tangent) or Q (the
+    # chord), with slope nums[i] / dens[i] and x_S = xs[i]; f takes in the
+    # line ((lambda*x_T - y_T) - lambda*x_P*v) / y_P + v*w, with ps[i] =
+    # (1/y_P, -x_P/y_P). On the chord lambda*x_T - y_T = lambda*x_Q - y_Q.
+    invs = curve.fq2_batch_inv(dens)
+    for i, (xt, yt) in enumerate(ts):
+        inv_yp, xp_over_yp = ps[i]
+        lam = curve.fq2_mul(nums[i], invs[i])
+        x3 = curve.fq2_sub(curve.fq2_sub(curve.fq2_sqr(lam), xt), xs[i])
+        ts[i] = (x3, curve.fq2_sub(curve.fq2_mul(lam, curve.fq2_sub(xt, x3)), yt))
+        f = curve.fq12_mul_by_line(f, curve.fq2_scale(curve.fq2_sub(curve.fq2_mul(lam, xt), yt), inv_yp),
+                                   curve.fq2_scale(lam, xp_over_yp))
+    return f
+
+
+def _reference_miller_loop(pairs):
+    # the plain Miller loop: every term walks its own T and applies its line
+    # as it goes, with no lines kept and no G2 point shared between terms
+    pairs = [(p, q) for p, q in pairs if p is not None and q is not None]
+    if not pairs:
+        return curve.FQ12_ONE
+    p = curve.PRIME
+    ps = [(pow(yp, -1, p), xp) for (xp, yp), _ in pairs]
+    ps = [(inv_yp, -xp * inv_yp % p) for inv_yp, xp in ps]
+    qs = [q for _, q in pairs]
+    ts = list(qs)
+    f = curve.FQ12_ONE
+    for bit in bin(curve.ABS_X)[3:]:
+        f = _reference_line_step(curve.fq12_sqr(f), ps, ts, [curve.fq2_scale(curve.fq2_sqr(xt), 3) for xt, _ in ts],
+                                 [curve.fq2_add(yt, yt) for _, yt in ts], [xt for xt, _ in ts])
+        if bit == "1":
+            f = _reference_line_step(f, ps, ts, [curve.fq2_sub(q[1], t[1]) for q, t in zip(qs, ts)],
+                                     [curve.fq2_sub(q[0], t[0]) for q, t in zip(qs, ts)], [xq for xq, _ in qs])
+    return curve.fq12_conj(f)
+
+
+def _random_points(rng, n1, n2):
+    g1, g2, r = (curve._G1X, curve._G1Y), (curve._G2X, curve._G2Y), curve.ORDER
+    return ([curve.g1_mul(g1, rng.randrange(1, r)) for _ in range(n1)],
+            [curve.g2_mul(g2, rng.randrange(1, r)) for _ in range(n2)])
+
+
+def test_miller_loop_matches_reference():
+    rng = random.Random(18)
+    ps, qs = _random_points(rng, 6, 6)
+    g2 = (curve._G2X, curve._G2Y)
+    cases = [list(zip(ps, qs))[:n] for n in (1, 2, 3, 5, 6)]
+    cases += [
+        [(None, qs[0]), (ps[0], qs[1])],  # identity P
+        [(ps[0], None), (ps[1], qs[1]), (ps[2], None)],  # identity Q
+        [(None, qs[0])], [(ps[0], None)],  # nothing left
+        [(ps[0], qs[0]), (ps[1], qs[0]), (ps[2], qs[1]), (ps[3], qs[0])],  # a G2 point repeated
+        [(ps[0], g2), (ps[0], g2)],  # a whole term repeated
+    ]
+    for pairs in cases:
+        assert curve.multi_miller_loop(pairs) == _reference_miller_loop(pairs), pairs
+    assert curve.multi_miller_loop([(None, g2)]) == curve.FQ12_ONE
+
+
+def test_engine_line_cache_matches_reference(monkeypatch):
+    # raw Miller values of multi_pair, with the final exponentiation it calls
+    # by module name made the identity; every miss of a call is built in one
+    # _g2_lines call, a hit builds nothing, and the LRU keeps at most
+    # _LINE_CACHE_POINTS points, the most recently used
+    e = curve.Bls12381Engine()
+    built = []
+    g2_lines = curve._g2_lines
+
+    def counted_lines(qs):
+        built.append(list(qs))
+        return g2_lines(qs)
+
+    monkeypatch.setattr(curve, "final_exponentiation", lambda f: f)
+    monkeypatch.setattr(curve, "_g2_lines", counted_lines)
+    size = curve._LINE_CACHE_POINTS
+    rng = random.Random(19)
+    ps, qs = _random_points(rng, 4, size + 2)
+
+    def check(pairs, fresh):
+        built.clear()
+        before = e.pairing_count
+        terms = [(curve.G1Point(p), curve.G2Point(q)) for p, q in pairs]
+        assert e.multi_pair(terms).pt == _reference_miller_loop(pairs), pairs
+        assert e.pairing_count - before == len(pairs)
+        assert built == ([fresh] if fresh else [])
+        assert len(e._lines) <= size
+
+    assert len(e._lines) == 0  # nothing is built before the first pairing
+    check([(ps[0], qs[0]), (ps[1], qs[1]), (ps[2], qs[0])], [qs[0], qs[1]])  # fresh, q0 repeated
+    check([(ps[0], qs[0]), (ps[1], qs[1]), (ps[2], qs[0])], [])  # the same call, warm
+    check([(ps[3], qs[2]), (ps[0], qs[1]), (ps[1], qs[3])], [qs[2], qs[3]])  # cached and fresh
+    check([(None, qs[4]), (ps[1], None), (ps[2], qs[2])], [])  # identities drop out before the cache
+    assert list(e._lines) == [qs[0], qs[1], qs[3], qs[2]]
+    spill = [(ps[k % 4], q) for k, q in enumerate(qs)]  # size + 2 points: evictions run
+    check(spill, [q for q in qs if q not in qs[:4]])
+    assert list(e._lines) == qs[2:]
+    check([(ps[0], qs[1]), (ps[1], qs[5])], [qs[1]])  # qs[1] was evicted, qs[5] was not
+    assert list(e._lines) == qs[3:5] + qs[6:] + [qs[5], qs[1]]
+
+
+def test_engine_line_cache_shared_across_threads(monkeypatch):
+    # more threads than cores look up, insert and evict on one engine's cache,
+    # over a pool of G2 points larger than it; the lines are stand-ins, so the
+    # threads spend their time in the bookkeeping the lock guards. No call may
+    # fail or return another point's lines, and the cache stays in bounds
+    monkeypatch.setattr(curve, "_g2_lines", lambda qs: [("lines", q) for q in qs])
+    e = curve.Bls12381Engine()
+    size = curve._LINE_CACHE_POINTS
+    rng = random.Random(20)
+    pool = [((k, 0), (k, 1)) for k in range(size + 8)]
+    picks = [[rng.sample(pool, rng.randrange(1, 4)) for _ in range(3000)]
+             for _ in range(2 * (os.cpu_count() or 1) + 2)]
+    errors = []
+
+    def worker(calls):
+        try:
+            for qs in calls:
+                if e._line_tables(qs) != [("lines", q) for q in qs]:
+                    errors.append(qs)
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(calls,)) for calls in picks]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(e._lines) == size and set(e._lines) <= set(pool)
+
+
+def _easy_part(f):
+    # f^((p^6-1)(p^2+1)), as final_exponentiation begins
+    f = curve.fq12_mul(curve.fq12_conj(f), curve.fq12_inv(f))
+    return curve.fq12_mul(curve.fq12_frob2(f), f)
+
+
+def test_cyclotomic_sqr_matches_fq12_sqr():
+    # Granger-Scott squaring holds in the cyclotomic subgroup only: check it
+    # on outputs of the easy part and of final_exponentiation
+    rng = random.Random(21)
+    ps, qs = _random_points(rng, 2, 2)
+    millers = [curve.multi_miller_loop([(ps[0], qs[0])]), curve.multi_miller_loop(list(zip(ps, qs)))]
+    samples = [curve.FQ12_ONE] + [_easy_part(f) for f in millers] + [curve.final_exponentiation(f) for f in millers]
+    samples += [_easy_part(_edge_fq12(rng)) for _ in range(8)]
+    for x in samples:
+        assert curve._cyclotomic_sqr(x) == curve.fq12_sqr(x), x
+        y = curve._cyclotomic_sqr(curve._cyclotomic_sqr(x))
+        assert y == curve.fq12_sqr(curve.fq12_sqr(x))
 
 
 def _g2_affine_double(pt):

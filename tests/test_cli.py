@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import mtaotibas
+from mtaotibas import scheme
 from mtaotibas.cli import main
 from mtaotibas.errors import InvalidElement, KeyAlreadyUsed
 
@@ -211,16 +213,18 @@ def test_mock_table_rejected_on_production(workdir):
     b"hash_to_g1 | 4D 41 | 000a\n",
     b"hash_to_g1 | 4d 41 | 00 0a\n",
     b"hash_to_g1 | 4d 41 | FFFF\n",
+    b"hash_to_g1 | 4d 41 | 0003\nhash_to_g1 | 4d 41 | 0005\n",
 ], ids=["no-fields", "bad-hex", "unknown-op", "not-utf8", "g1-at-q", "g1-above-q", "scalar-zero",
-        "scalar-above-q", "uppercase-input", "spaced-output", "uppercase-output"])
+        "scalar-above-q", "uppercase-input", "spaced-output", "uppercase-output", "duplicate"])
 def test_malformed_mock_table_exits_2(workdir, content):
     Path("vectors.txt").write_bytes(content)
     result = CliRunner().invoke(main, MOCK + ["root-setup", "--out-params", "p.json", "--out-master", "m.json"])
     assert result.exit_code == 2, result.output
     assert "error:" in result.stderr.lower()
     assert isinstance(result.exception, SystemExit)
-    if content.isascii():
-        assert "vectors.txt:1:" in result.stderr, result.stderr
+    if content.isascii():  # the error is on the last line
+        last = content.count(b"\n")
+        assert f"vectors.txt:{last}:" in result.stderr, result.stderr
 
 
 def test_aggregate_argument_count_checked(workdir):
@@ -520,9 +524,19 @@ def test_verify_rejects_degenerate_bundle_without_pairing(lifecycle_dir, tmp_pat
         "valid": False, "reason": reason, "pairings_main": 0, "pairings_certificates": 0}
 
 
+_WEIGHT_SEED = 0
+
+
 @pytest.mark.parametrize("y, code", [("008a", 1), ("008A", 2), (" 00 8a\n", 2)])
 def test_params_hex_must_be_canonical(lifecycle_dir, tmp_path, monkeypatch, y, code):
-    # "008a" decodes (to the wrong key, so the bundle fails); no other spelling does
+    # "008a" decodes (to the wrong key, so the bundle fails); no other spelling does.
+    # Under y = 0x8a the batched certificate check accepts when its weights give
+    # 170*rho_1 + 301*rho_2 = 0 mod 1009, so verify draws them from a seed that
+    # does not cancel.
+    weights = random.Random(_WEIGHT_SEED)
+    rho_1, rho_2 = (weights.randrange(1, 1009) for _ in range(2))
+    assert (170 * rho_1 + 301 * rho_2) % 1009 != 0
+    monkeypatch.setattr(scheme.random, "SystemRandom", lambda: random.Random(_WEIGHT_SEED))
     doc = _replaced(ENVELOPES["system-params"], ("fields", "y"), y)
     result = _invoke_with(lifecycle_dir, tmp_path, monkeypatch, "params.json", doc)
     assert result.exit_code == code, result.output

@@ -176,6 +176,11 @@ def test_vector_table_outputs_checked(tmp_path):
         path.write_text("# comment\n\n" + line + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
             load_vector_table(path)
+    # a second record for one (op, tag, input) fails, whatever its output
+    for output in ("0005", "0003"):
+        path.write_text(f"hash_to_g1 | 4d 00 | 0003\n# comment\nhash_to_g1 | 4d 00 | {output}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: duplicate record, first at line 1")):
+            load_vector_table(path)
 
 
 def test_random_scalar_never_zero(mock_engine):
