@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -415,3 +417,76 @@ def test_verify_no_cert_budget_is_exact(fixed_scenario):
     assert result
     assert eng.pairing_count - before == len(bundle.groups) + 1
     assert result.pairings_certificates == 0
+
+
+# -- pinned outcomes ------------------------------------------------------------
+#
+# One SHA-256 over what the checks answer and spend on fixed inputs, so any
+# change to an accept/reject decision, a reason, a pairing count or the order
+# of random draws shows here.
+
+
+def _verify_outcome(eng, params, bundle, seed, **kw):
+    rng = random.Random(seed)
+    before = eng.pairing_count
+    result = scheme.verify(eng, params, bundle, rng=rng, **kw)
+    return [result.valid, result.reason, result.pairings_main, result.pairings_certificates,
+            eng.pairing_count - before, rng.getrandbits(64)]
+
+
+def _single_replacements(eng, bundle):
+    """The bundle itself, then each copy with one element replaced: omega,
+    each authority's y_i and cert, each signer's identity and message."""
+    yield bundle
+    yield replace(bundle, omega=bundle.omega * eng.g1)
+    for gi, (ta, signers) in enumerate(bundle.groups):
+        tas = (replace(ta, y_i=ta.y_i * eng.g2), replace(ta, cert=ta.cert * eng.g1))
+        swapped = [((t, signers),) for t in tas]
+        for si, (ident, message) in enumerate(signers):
+            for signer in ((ident + b"!", message), (ident, message + b"!")):
+                swapped.append(((ta, signers[:si] + (signer,) + signers[si + 1:]),))
+        for group in swapped:
+            yield replace(bundle, groups=bundle.groups[:gi] + group + bundle.groups[gi + 1:])
+
+
+def test_pinned_check_outcomes(fixed_scenario, bls_engine):
+    from mtaotibas.errors import DegenerateDenominator, GiveUp, ReductionAbort
+    from mtaotibas.harness import Challenger, CoCDHInstance, scripted_forger
+
+    eng, params = fixed_scenario["engine"], fixed_scenario["params"]
+    outcomes = []
+    for i, bundle in enumerate(_single_replacements(eng, fixed_scenario["bundle"])):
+        for check in (True, False):
+            outcomes.append(_verify_outcome(eng, params, bundle, i, check_certificates=check))
+    for _, trec in fixed_scenario["tas"].values():
+        for v in range(Q):
+            outcomes.append(_checked(eng, scheme.verify_certificate, params,
+                                     replace(trec, cert=eng.element_g1(v))))
+    for ident, ta_id, *_ in FIXED["signers"]:
+        _, trec = fixed_scenario["tas"][ta_id]
+        key = fixed_scenario["keys"][ident]
+        for field in ("s0", "s1"):
+            for v in range(Q):
+                outcomes.append(_checked(eng, scheme.key_is_well_formed,
+                                         replace(key, **{field: eng.element_g1(v)}), trec))
+
+    e = bls_engine
+    params, bundle = random_honest_bundle(e, random.Random(0x9E1), 3, 2)
+    (ta, signers), rest = bundle.groups[0], bundle.groups[1:]
+    tampered = replace(bundle, groups=((replace(ta, cert=ta.cert * e.g1), signers),) + rest)
+    outcomes += [_verify_outcome(e, params, b, 5) for b in (bundle, tampered)]
+
+    mock = MockEngine()
+    for seed in range(10):
+        rng = random.Random(seed)
+        ch = Challenger(mock, CoCDHInstance.random(mock, rng), 0.5, rng)
+        before = mock.pairing_count
+        try:
+            ch.finalize(scripted_forger(ch).bundle)
+            end = "extracted"
+        except (DegenerateDenominator, GiveUp, ReductionAbort) as exc:
+            end = f"{type(exc).__name__}: {exc}"
+        outcomes.append([end, mock.pairing_count - before, ch.transcript()])
+
+    blob = json.dumps(outcomes, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == "0d7a2e11702372146a022e39c7571dd121c767c5d6ffb9a9777af6aad82accbd"
