@@ -107,7 +107,6 @@ class Challenger:
         self._hashes = scheme.HashSuite(
             identity_point=lambda ident, bit: (self._h0(bytes(ident)).id0, self._h0(bytes(ident)).id1)[bit],
             message_scalar=lambda msg, ident, cert: self._h1(bytes(ident), bytes(msg), bytes(cert)).h,
-            cert_point=scheme.engine_hashes(engine).cert_point,
         )
 
     # -- plumbing -----------------------------------------------------------

@@ -11,10 +11,11 @@ G1; verification groups signers by their issuing authority and checks one
 pairing equation whose cost is l+1 pairings for l authorities, independent
 of the number of signers.
 
-Every hash goes through a HashSuite. The default suite instantiates the
-oracles from the engine's hash functions under fixed domain-separation
-tags; ``verify`` and ``key_is_well_formed`` also take a suite, so a
-random-oracle simulator can verify under its programmed tables.
+H0 and H1, the two oracles the unforgeability proof programs, go through
+a HashSuite: by default the engine's hashes under fixed domain tags, while
+``verify`` and ``key_is_well_formed`` also take a simulator's programmed
+suite. The certificate hash is always the engine's, as the simulator runs
+the root itself. Every check is one equation e(sigma, g2) == prod_i e(P_i, pk_i).
 """
 
 import hashlib
@@ -32,16 +33,14 @@ DOMAIN_CERT = b"MTA-OTIBAS-CERT"
 
 @dataclass(frozen=True)
 class HashSuite:
-    """The scheme's three hash oracles.
+    """The scheme's two programmable hash oracles.
 
     identity_point(identity, bit) -> G1        (H0)
     message_scalar(message, identity, cert_bytes) -> int in [1, q-1]  (H1)
-    cert_point(payload) -> G1                  (certificate hashing)
     """
 
     identity_point: Callable[[bytes, int], object]
     message_scalar: Callable[[bytes, bytes, bytes], int]
-    cert_point: Callable[[bytes], object]
 
 
 def engine_hashes(engine) -> HashSuite:
@@ -51,8 +50,17 @@ def engine_hashes(engine) -> HashSuite:
         message_scalar=lambda msg, ident, cert: engine.hash_to_scalar(
             DOMAIN_H1, length_prefixed(msg, ident, cert)
         ),
-        cert_point=lambda payload: engine.hash_to_g1(DOMAIN_CERT, payload),
     )
+
+
+def _cert_hash(engine, payload: bytes):
+    """The G1 point the root signs for a certificate payload."""
+    return engine.hash_to_g1(DOMAIN_CERT, payload)
+
+
+def _equation(engine, sigma, pairs) -> list:
+    """The terms of e(sigma, g2) == prod_i e(P_i, pk_i), whose product is 1 iff it holds."""
+    return [(sigma.inverse(), engine.g2)] + list(pairs)
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,7 @@ def cert_payload(engine, ta_identity: bytes, y_i) -> bytes:
 def certify(engine, master: MasterSecret, ta_identity: bytes, y_i) -> TARecord:
     """The authority record the root issues: its certificate is
     cert-hash(payload)^kappa."""
-    cert = engine_hashes(engine).cert_point(cert_payload(engine, ta_identity, y_i)) ** master.kappa
+    cert = _cert_hash(engine, cert_payload(engine, ta_identity, y_i)) ** master.kappa
     return TARecord(ta_identity=ta_identity, y_i=y_i, cert=cert)
 
 
@@ -173,9 +181,9 @@ def lowerlevel_setup(engine, params: SystemParams, master: MasterSecret, ta_iden
 
 def verify_certificate(engine, params: SystemParams, ta: TARecord) -> bool:
     """Check the root's signature on an authority record:
-    pair(cert^-1, g2) * pair(cert-hash(payload), y) == 1."""
-    h = engine_hashes(engine).cert_point(ta.payload(engine))
-    return engine.multi_pair([(ta.cert.inverse(), engine.g2), (h, params.y)]) == engine.identity_gt
+    e(cert, g2) == e(cert-hash(payload), y)."""
+    h = _cert_hash(engine, ta.payload(engine))
+    return engine.multi_pair(_equation(engine, ta.cert, [(h, params.y)])) == engine.identity_gt
 
 
 def extract(engine, ta_secret: TASecret, ta: TARecord, signer_id: bytes) -> SignerKey:
@@ -195,13 +203,12 @@ def extract(engine, ta_secret: TASecret, ta: TARecord, signer_id: bytes) -> Sign
 
 def key_is_well_formed(engine, key: SignerKey, ta: TARecord,
                        hashes: Optional[HashSuite] = None) -> bool:
-    """Public check that both key components are consistent with the
-    authority's public key: pair(s_b^-1, g2) * pair(H0(id, b), y_i) == 1,
-    for b = 0 and then b = 1."""
+    """Public check that both key components fit the authority's public key:
+    e(s_b, g2) == e(H0(id, b), y_i), for b = 0 and then b = 1."""
     hashes = hashes or engine_hashes(engine)
     for bit, s in ((0, key.s0), (1, key.s1)):
-        idb = hashes.identity_point(key.signer_id, bit)
-        if engine.multi_pair([(s.inverse(), engine.g2), (idb, ta.y_i)]) != engine.identity_gt:
+        terms = _equation(engine, s, [(hashes.identity_point(key.signer_id, bit), ta.y_i)])
+        if engine.multi_pair(terms) != engine.identity_gt:
             return False
     return True
 
@@ -238,7 +245,7 @@ def verify(engine, params: SystemParams, bundle: AggregateBundle,
       2. every authority's certificate verifies under params (skippable for
          pre-validated registries via check_certificates=False);
       3. the aggregate equation
-         pair(omega, g2) == prod_i pair(prod_j id_{j,0} * id_{j,1}^{h_j}, y_i).
+         e(omega, g2) == prod_i e(prod_j id_{j,0} * id_{j,1}^{h_j}, y_i).
 
     Certificate equations are batched into one product with random weights
     (2 pairing evaluations per authority); the main equation is one product
@@ -262,35 +269,27 @@ def verify(engine, params: SystemParams, bundle: AggregateBundle,
                 return VerifyResult(False, reason="duplicate (identity, authority) pair")
             seen.add((ident, fp))
 
-    l = len(bundle.groups)
-    pairings_certs = 0
+    # every certificate equation raised to a fresh random weight rho_i, so
+    # independent failures cannot cancel
+    cert_terms = []
     if check_certificates:
-        # prod_i [pair(cert_i^-1, g2) * pair(cert-hash_i, y)]^rho_i == 1 with
-        # fresh random weights rho_i, so independent failures cannot cancel
-        terms = []
         for ta, _ in bundle.groups:
             rho = engine.random_scalar(rng)
-            h = hashes.cert_point(ta.payload(engine))
-            terms.append((ta.cert.inverse() ** rho, engine.g2))
-            terms.append((h ** rho, params.y))
-        pairings_certs = 2 * l
-        if engine.multi_pair(terms) != engine.identity_gt:
+            h = _cert_hash(engine, ta.payload(engine))
+            cert_terms += _equation(engine, ta.cert ** rho, [(h ** rho, params.y)])
+        if engine.multi_pair(cert_terms) != engine.identity_gt:
             return VerifyResult(False, reason="certificate check failed",
-                                pairings_certificates=pairings_certs)
+                                pairings_certificates=len(cert_terms))
 
-    # main equation: pair(omega^-1, g2) * prod_i pair(inner_i, y_i) == 1
-    terms = [(bundle.omega.inverse(), engine.g2)]
+    inner = []
     for ta, signers in bundle.groups:
         cert_b = ta.cert_bytes(engine)
         powers = []
         for ident, message in signers:
             h = hashes.message_scalar(message, ident, cert_b)
             powers += [(hashes.identity_point(ident, 0), 1), (hashes.identity_point(ident, 1), h)]
-        terms.append((engine.g1_product(powers), ta.y_i))
+        inner.append((engine.g1_product(powers), ta.y_i))
+    terms = _equation(engine, bundle.omega, inner)
     ok = engine.multi_pair(terms) == engine.identity_gt
-    return VerifyResult(
-        valid=ok,
-        reason="" if ok else "aggregate equation failed",
-        pairings_main=l + 1,
-        pairings_certificates=pairings_certs,
-    )
+    return VerifyResult(ok, reason="" if ok else "aggregate equation failed",
+                        pairings_main=len(terms), pairings_certificates=len(cert_terms))
