@@ -47,6 +47,10 @@ class StoreLocked(MtaError):
     """Another process holds the write lock on the journal."""
 
 
+class StoreClosed(MtaError):
+    """The key store is closed, by its owner or after a failed append."""
+
+
 class UnknownCertificate(MtaError):
     """An oracle received a certificate that no prior authority-setup query
     produced."""

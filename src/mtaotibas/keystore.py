@@ -27,11 +27,19 @@ be a torn write); a corrupt record with valid data after it, or a
 CRC-valid record that breaks the schema, means real damage and raises
 CorruptJournal. An OS-level file lock keeps two processes from appending
 to the same journal.
+
+A write, flush or fsync that fails closes the store before the error
+reaches the caller, and any later append on it raises StoreClosed. The
+failed record thus stays the journal's last: torn, it is dropped on
+replay; whole, it counts as done, as after a crash between persist and
+return (a stored key the caller never got an entry id for, or a used key
+whose signature was never released).
 """
 
 import fcntl
 import hashlib
 import json
+import math
 import os
 import struct
 import threading
@@ -50,6 +58,7 @@ from .errors import (
     KeyAlreadyUsed,
     KeyNotFound,
     MalformedEnvelope,
+    StoreClosed,
     StoreLocked,
 )
 
@@ -205,8 +214,11 @@ class KeyStore:
             if entry.status != STATUS_FRESH:
                 raise corrupt(f"second use record for entry {entry_id}")
             used_at = rec.get("at")
-            if type(used_at) not in (int, float):
-                raise corrupt("'at' is not a number")
+            try:
+                if type(used_at) not in (int, float) or not math.isfinite(used_at):
+                    raise ValueError
+            except (OverflowError, ValueError):  # isfinite overflows on a huge int
+                raise corrupt("'at' is not a finite number") from None
             digest = hex_field("digest")
             if len(digest) != 32:
                 raise corrupt("'digest' is not 32 bytes")
@@ -229,10 +241,16 @@ class KeyStore:
     def _append(self, rec: dict) -> None:
         payload = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode("utf-8")
         frame = struct.pack(">I", len(payload)) + payload + struct.pack(">I", zlib.crc32(payload))
-        self._fh.seek(0, os.SEEK_END)
-        self._fh.write(frame)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        if self._fh is None:
+            raise StoreClosed(f"journal {self.path} is closed")
+        try:
+            self._fh.seek(0, os.SEEK_END)
+            self._fh.write(frame)
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+        except BaseException:
+            self.close()  # the failed record must stay the last one
+            raise
 
     # -- operations --------------------------------------------------------
 
@@ -285,9 +303,9 @@ class KeyStore:
             }
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            fh.close()
 
     def __enter__(self):
         return self

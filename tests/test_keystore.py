@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import random
 import shutil
 import struct
@@ -17,6 +19,7 @@ from mtaotibas.errors import (
     DuplicateKey,
     KeyAlreadyUsed,
     KeyNotFound,
+    StoreClosed,
     StoreLocked,
 )
 from mtaotibas.keystore import STATUS_FRESH, STATUS_USED, KeyStore
@@ -202,6 +205,85 @@ def test_crash_after_persist_leaves_used_state(setup):
             store.sign_once(entry_id, trec, b"message-1")
 
 
+class _HalfWrite:
+    """The journal handle, except that its first write puts half the bytes
+    on disk and then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.failed = False
+
+    def write(self, data):
+        if self.failed:
+            return self._fh.write(data)
+        self.failed = True
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _inject(store, monkeypatch, fault):
+    if fault == "half-write":
+        store._fh = _HalfWrite(store._fh)
+    else:
+        real_fsync, failed = os.fsync, []
+
+        def fsync(fd):
+            if not failed:
+                failed.append(fd)
+                raise OSError(errno.EIO, "Input/output error")
+            real_fsync(fd)
+
+        monkeypatch.setattr(keystore.os, "fsync", fsync)
+
+
+@pytest.mark.parametrize("fault", ["half-write", "fsync"])
+@pytest.mark.parametrize("op", ["store_key", "sign_once"])
+def test_failed_append_closes_the_store(setup, fixed_scenario, monkeypatch, op, fault):
+    # a failed write, flush or fsync may leave a torn record or a whole one
+    # that was never acknowledged; nothing may be appended after it
+    eng, trec, key, path = setup
+    bob = fixed_scenario["keys"][b"ID-B"]
+    store = KeyStore(path, eng)
+    entry = store.store_key(key)
+    _inject(store, monkeypatch, fault)
+    with pytest.raises(OSError):
+        if op == "store_key":
+            store.store_key(bob)
+        else:
+            store.sign_once(entry, trec, b"message-1")
+    size = path.stat().st_size
+    with pytest.raises(StoreClosed):
+        store.store_key(bob)
+    with pytest.raises(StoreClosed):
+        store.sign_once(entry, trec, b"message-2")
+    assert path.stat().st_size == size
+    store.close()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a torn final record is dropped with a warning
+        store = KeyStore(path, eng)
+    signed = []
+    with store:
+        for entry_id in store.entries():
+            for message in (b"message-3", b"message-4"):
+                try:
+                    store.sign_once(entry_id, trec, message)
+                    signed.append(entry_id)
+                except KeyAlreadyUsed:
+                    pass
+    torn = fault == "half-write"
+    if op == "store_key":
+        # a whole add record stored Bob's key although the call failed
+        assert signed == ([1] if torn else [1, 2])
+    else:
+        # a whole use record spent the key although no signature came back
+        assert signed == ([1] if torn else [])
+
+
 def test_truncated_final_record_dropped(setup):
     eng, trec, key, path = setup
     with KeyStore(path, eng) as store:
@@ -259,6 +341,9 @@ _CORRUPT_TAILS = {
     "use-unknown-entry": lambda hexes: [dict(_USE, entry=9)],
     "at-missing": lambda hexes: [{k: v for k, v in _USE.items() if k != "at"}],
     "at-not-number": lambda hexes: [dict(_USE, at="now")],
+    "at-huge-int": lambda hexes: [dict(_USE, at=10**400)],
+    "at-nan": lambda hexes: [dict(_USE, at=float("nan"))],
+    "at-infinity": lambda hexes: [dict(_USE, at=float("inf"))],
     "digest-not-hex": lambda hexes: [dict(_USE, digest="xyz")],
     "digest-not-32-bytes": lambda hexes: [dict(_USE, digest="00" * 31)],
     "key-uppercase-hex": lambda hexes: [{"op": "add", "entry": 2, "key": hexes["B"].upper()}],
@@ -285,6 +370,25 @@ def test_unknown_record_op_is_corrupt(setup, fixed_scenario, tail):
         fh.write(b"".join(frames))
     with pytest.raises(CorruptJournal, match=f"offset {offset}:"):
         KeyStore(path, eng)
+
+
+@pytest.mark.parametrize("at", [10**400, float("nan"), float("-inf")], ids=["huge-int", "nan", "-infinity"])
+def test_cli_sign_on_non_finite_at_exits_2(setup, tmp_path, at):
+    eng, trec, key, path = setup
+    with KeyStore(path, eng) as store:
+        store.store_key(key)
+    with open(path, "ab") as fh:
+        fh.write(_record(dict(_USE, at=at)))
+    size = path.stat().st_size
+    envelopes.save_json(tmp_path / "ta.json", eng, trec)
+    (tmp_path / "m.bin").write_bytes(b"message-1")
+    result = CliRunner().invoke(main, [
+        "--backend", "mock", "--insecure-mock", "sign", "--store", str(path), "--entry-id", "1",
+        "--ta-record", str(tmp_path / "ta.json"), "--message-file", str(tmp_path / "m.bin"),
+        "--out", str(tmp_path / "s.json")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ") and "'at'" in result.stderr
+    assert path.stat().st_size == size
 
 
 @pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"not json", b"", b'{"op": "add"'],
