@@ -6,7 +6,10 @@ traced benchmark run. These tests read ``perfbench/`` and fail here first.
 """
 
 import ast
+import dataclasses
 import importlib.util
+import inspect
+from dataclasses import replace
 from pathlib import Path
 
 from mtaotibas import envelopes, keystore, scheme
@@ -15,6 +18,13 @@ from mtaotibas.pairing import bls12381
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BLS_ALIASES = ("bls", "bls12381")  # the names perfbench binds the module to
 BLS_MODULE = "mtaotibas.pairing.bls12381"
+# the program modules perfbench reads by name, directly or as self.<name>
+MODULES = {"scheme": scheme, "envelopes": envelopes, "keystore": keystore}
+
+
+def _perfbench_trees():
+    for path in sorted(PERFBENCH.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def _load_tracing():
@@ -53,9 +63,9 @@ def _bls_names_read(tree):
 
 def test_every_bls_name_perfbench_reads_exists():
     read = {}
-    for path in sorted(PERFBENCH.glob("*.py")):
-        for name in _bls_names_read(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            read.setdefault(name, []).append(path.name)
+    for file, tree in _perfbench_trees():
+        for name in _bls_names_read(tree):
+            read.setdefault(name, []).append(file)
     assert {"Bls12381Engine", "g1_mul", "multi_miller_loop", "decode_g2_point"} <= set(read)
     missing = {name: files for name, files in read.items() if not hasattr(bls12381, name)}
     assert not missing, f"perfbench reads names the BLS12-381 module lacks: {missing}"
@@ -80,3 +90,85 @@ def test_traced_multi_pair_counts_on_the_cached_path():
             assert tracer.calls["pairing.multi_pair"] == 1 + cached // 3
     finally:
         tracer.uninstall()
+
+
+def _module_path(node):
+    """(module name, attribute path) of ``scheme.a.b`` or ``self.scheme.a.b``;
+    None for any other expression."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.insert(0, node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "self" and attrs and attrs[0] in MODULES:
+        return attrs[0], attrs[1:]
+    if isinstance(node, ast.Name) and node.id in MODULES and attrs:
+        return node.id, attrs
+    return None
+
+
+def _resolve(module, attrs):
+    obj = MODULES[module]
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_every_program_name_perfbench_reads_exists_and_accepts_its_call():
+    read, calls = {}, []
+    for name, tree in _perfbench_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in {f"mtaotibas.{m}" for m in MODULES}:
+                for alias in node.names:
+                    read.setdefault((node.module.split(".")[1], alias.name), set()).add(name)
+            found = _module_path(node) if isinstance(node, ast.Attribute) else None
+            if found and found[1]:
+                read.setdefault((found[0], ".".join(found[1])), set()).add(name)
+            if isinstance(node, ast.Call) and _module_path(node.func):
+                calls.append((name, node))
+    assert {("scheme", "verify"), ("scheme", "AggregateBundle.build"), ("envelopes", "to_json_obj"),
+            ("keystore", "KeyStore"), ("scheme", "engine_hashes")} <= set(read)
+    missing = {}
+    for (module, dotted), files in read.items():
+        try:
+            _resolve(module, dotted.split("."))
+        except AttributeError:
+            missing[f"{module}.{dotted}"] = sorted(files)
+    assert not missing, f"perfbench reads names the program lacks: {missing}"
+    for name, call in calls:
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+            continue
+        target = _resolve(*_module_path(call.func))
+        try:
+            inspect.signature(target).bind(*call.args, **{k.arg: None for k in call.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"{name}:{call.lineno}: {ast.unparse(call.func)}: {exc}") from None
+
+
+def _is_engine_hashes(node):
+    return isinstance(node, ast.Call) and _module_path(node.func) == ("scheme", ["engine_hashes"])
+
+
+def test_every_hash_suite_field_perfbench_reads_exists():
+    read = set()
+    for _, tree in _perfbench_trees():
+        # expressions bound to a suite, such as ``self.hashes``
+        holders = {ast.unparse(target) for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and _is_engine_hashes(node.value)
+                   for target in node.targets}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and (_is_engine_hashes(node.value) or ast.unparse(node.value) in holders)}
+    assert "identity_point" in read
+    fields = {field.name for field in dataclasses.fields(scheme.HashSuite)}
+    assert read <= fields, f"perfbench reads suite fields HashSuite lacks: {read - fields}"
+
+
+def test_every_reject_stage_is_a_verify_reason(fixed_scenario):
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    (stages,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["STAGES"]]
+    eng, params, bundle = fixed_scenario["engine"], fixed_scenario["params"], fixed_scenario["bundle"]
+    (ta, signers), rest = bundle.groups[0], bundle.groups[1:]
+    bad_cert = replace(bundle, groups=((replace(ta, cert=ta.cert * eng.g1), signers),) + rest)
+    bad_aggregate = replace(bundle, omega=bundle.omega * eng.g1)
+    reasons = {scheme.verify(eng, params, b).reason for b in (bad_cert, bad_aggregate)}
+    assert set(stages) <= reasons, (stages, reasons)
