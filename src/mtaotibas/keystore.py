@@ -215,10 +215,11 @@ class KeyStore:
                 raise corrupt(f"second use record for entry {entry_id}")
             used_at = rec.get("at")
             try:
-                if type(used_at) not in (int, float) or not math.isfinite(used_at):
-                    raise ValueError
-            except (OverflowError, ValueError):  # isfinite overflows on a huge int
-                raise corrupt("'at' is not a finite number") from None
+                finite = type(used_at) in (int, float) and math.isfinite(used_at)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise corrupt("'at' is not a finite number")
             digest = hex_field("digest")
             if len(digest) != 32:
                 raise corrupt("'digest' is not 32 bytes")
@@ -239,10 +240,10 @@ class KeyStore:
         del self._fresh[entry.stored.owner]
 
     def _append(self, rec: dict) -> None:
-        payload = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        frame = struct.pack(">I", len(payload)) + payload + struct.pack(">I", zlib.crc32(payload))
         if self._fh is None:
             raise StoreClosed(f"journal {self.path} is closed")
+        payload = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        frame = struct.pack(">I", len(payload)) + payload + struct.pack(">I", zlib.crc32(payload))
         try:
             self._fh.seek(0, os.SEEK_END)
             self._fh.write(frame)
