@@ -13,6 +13,9 @@ Journal layout: an 8-byte header, then framed records of
     {"op": "add", "entry": 7, "key": "<hex signer-key envelope>"}
     {"op": "use", "entry": 7, "at": 1730000000.0, "digest": "<sha256 hex>"}
 
+Opening takes the lock and replays. A file that is empty or a strict
+prefix of the header holds no record (new, or cut before its header was
+durable) and gets the header; any other bad header raises CorruptJournal.
 Replay checks each record's framing, CRC and schema; for an ``add`` it
 reads the signer identity and authority fingerprint from the envelope's
 framing and keeps the envelope bytes. The key's two G1 points are decoded,
@@ -22,18 +25,21 @@ CorruptJournal naming its entry. Opening a journal therefore costs no
 group arithmetic, and fresh (identity, authority) pairs are indexed so the
 duplicate check is one lookup.
 
-A corrupt or truncated final record is dropped with a warning (it can only
-be a torn write); a corrupt record with valid data after it, or a
-CRC-valid record that breaks the schema, means real damage and raises
-CorruptJournal. An OS-level file lock keeps two processes from appending
+A record that is not whole, non-empty and CRC-valid is dropped with a
+warning, as a torn or crash-zeroed last write, only if no whole record
+starts anywhere after it; otherwise, and for a CRC-valid record that
+breaks the schema (a lone empty frame included), replay raises
+CorruptJournal naming its offset. One damaged byte thus costs at most the
+final record. An OS-level file lock keeps two processes from appending
 to the same journal.
 
-A write, flush or fsync that fails closes the store before the error
-reaches the caller, and any later append on it raises StoreClosed. The
-failed record thus stays the journal's last: torn, it is dropped on
-replay; whole, it counts as done, as after a crash between persist and
-return (a stored key the caller never got an entry id for, or a used key
-whose signature was never released).
+Every write and truncate is fsynced through one helper. A failure there
+closes the store, releasing its lock, before the error reaches the
+caller, and later appends raise StoreClosed. The failed record thus stays
+the journal's last: torn, it is dropped on replay; whole, it counts as
+done, as after a crash between persist and return (a stored key the
+caller never got an entry id for, or a used key whose signature was
+never released).
 """
 
 import fcntl
@@ -66,7 +72,19 @@ JOURNAL_MAGIC = b"MTAOJRN\x01"
 STORE_ENV = "MTAOTIBAS_STORE"
 STATUS_FRESH = "fresh"
 STATUS_USED = "used"
-_MAX_RECORD = 1 << 24
+
+
+def _frame(data: bytes, off: int) -> Optional[int]:
+    """The end of the record at ``off`` if its frame is whole, its payload
+    not empty (the writer never writes one) and its CRC valid, else None."""
+    if off + 4 > len(data):
+        return None
+    (n,) = struct.unpack_from(">I", data, off)
+    end = off + 4 + n + 4
+    if n == 0 or end > len(data):
+        return None
+    (crc,) = struct.unpack_from(">I", data, end - 4)
+    return end if crc == zlib.crc32(data[off + 4 : end - 4]) else None
 
 
 class _StoredKey:
@@ -91,13 +109,8 @@ class _StoredKey:
                 raise CorruptJournal(f"{self._where}: stored key does not decode: {exc}") from exc
         return self._key
 
-    def __eq__(self, other):
-        return isinstance(other, _StoredKey) and self.raw == other.raw
 
-    __hash__ = None
-
-
-@dataclass
+@dataclass(frozen=True, slots=True)
 class KeyEntry:
     stored: _StoredKey
     status: str = STATUS_FRESH
@@ -129,51 +142,52 @@ class KeyStore:
         except OSError as exc:
             self._fh.close()
             raise StoreLocked(f"journal {self.path} is locked by another process") from exc
-        # sized under the lock: another store may create the journal up to then
-        if os.fstat(self._fh.fileno()).st_size > 0:
-            try:
-                self._replay()
-            except BaseException:
-                self.close()  # release the lock even while the error is held
-                raise
-        else:
-            self._fh.write(JOURNAL_MAGIC)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+        try:
+            self._replay()  # read under the lock: another store may write up to then
+        except BaseException:
+            self.close()  # release the lock even while the error is held
+            raise
 
     # -- journal ----------------------------------------------------------
 
     def _replay(self) -> None:
         self._fh.seek(0)
         data = self._fh.read()
-        if len(data) < len(JOURNAL_MAGIC) or data[: len(JOURNAL_MAGIC)] != JOURNAL_MAGIC:
-            raise CorruptJournal(f"{self.path}: bad journal header")
-        off = len(JOURNAL_MAGIC)
         size = len(data)
+        off = len(JOURNAL_MAGIC)
+        if not JOURNAL_MAGIC.startswith(data[:off]):
+            raise CorruptJournal(f"{self.path}: bad journal header")
+        if size < off:  # new, or cut before the header's fsync returned: no record yet
+            self._durably(lambda fh: fh.write(JOURNAL_MAGIC[size:]))
         while off < size:
-            if off + 4 > size:
-                self._truncate_tail(off, "torn record header")
+            end = _frame(data, off)
+            if end is None:
+                # a torn or crash-zeroed last write has no whole record after
+                # it; a lone empty frame (8 zero bytes: length 0, CRC 0) is
+                # shorter than any append, so it is a record that breaks the schema
+                if data[off:] == bytes(8) or any(_frame(data, o) for o in range(off + 1, size)):
+                    raise CorruptJournal(f"{self.path}: record at offset {off}: unreadable frame")
+                torn = "torn record header" if off + 4 > size else "torn record"
+                warnings.warn(f"{self.path}: dropping {torn} at offset {off}")
+                self._durably(lambda fh: fh.truncate(off))
                 return
-            (n,) = struct.unpack_from(">I", data, off)
-            end = off + 4 + n + 4
-            if n > _MAX_RECORD or end > size:
-                self._truncate_tail(off, "torn record body")
-                return
-            payload = data[off + 4 : off + 4 + n]
-            (crc,) = struct.unpack_from(">I", data, off + 4 + n)
-            if crc != zlib.crc32(payload):
-                if end == size:
-                    self._truncate_tail(off, "checksum failure in final record")
-                    return
-                raise CorruptJournal(f"{self.path}: checksum failure at offset {off}")
-            self._apply(payload, off)
+            self._apply(data[off + 4 : end - 4], off)
             off = end
 
-    def _truncate_tail(self, offset: int, why: str) -> None:
-        warnings.warn(f"{self.path}: dropping {why} at offset {offset}")
-        self._fh.truncate(offset)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+    def _durably(self, change) -> None:
+        """Apply ``change`` to the journal file and fsync it. A failure closes
+        the store before the error reaches the caller, so nothing is written
+        after bytes that may be torn."""
+        fh = self._fh
+        if fh is None:
+            raise StoreClosed(f"journal {self.path} is closed")
+        try:
+            change(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        except BaseException:
+            self.close()
+            raise
 
     def _apply(self, payload: bytes, off: int) -> None:
         def corrupt(why: str) -> CorruptJournal:
@@ -223,7 +237,7 @@ class KeyStore:
             digest = hex_field("digest")
             if len(digest) != 32:
                 raise corrupt("'digest' is not 32 bytes")
-            self._mark_used(entry, float(used_at), digest)
+            self._mark_used(entry_id, float(used_at), digest)
 
     def _where(self, entry_id: int) -> str:
         return f"{self.path}: entry {entry_id}"
@@ -233,25 +247,15 @@ class KeyStore:
         self._fresh[stored.owner] = entry_id
         self._next_id = max(self._next_id, entry_id + 1)
 
-    def _mark_used(self, entry: KeyEntry, used_at: float, digest: bytes) -> None:
-        entry.status = STATUS_USED
-        entry.used_at = used_at
-        entry.message_digest = digest
-        del self._fresh[entry.stored.owner]
+    def _mark_used(self, entry_id: int, used_at: float, digest: bytes) -> None:
+        stored = self._entries[entry_id].stored
+        self._entries[entry_id] = KeyEntry(stored, STATUS_USED, used_at, digest)
+        del self._fresh[stored.owner]
 
     def _append(self, rec: dict) -> None:
-        if self._fh is None:
-            raise StoreClosed(f"journal {self.path} is closed")
         payload = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode("utf-8")
         frame = struct.pack(">I", len(payload)) + payload + struct.pack(">I", zlib.crc32(payload))
-        try:
-            self._fh.seek(0, os.SEEK_END)
-            self._fh.write(frame)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except BaseException:
-            self.close()  # the failed record must stay the last one
-            raise
+        self._durably(lambda fh: fh.write(frame))  # "a+b": every write lands at the end
 
     # -- operations --------------------------------------------------------
 
@@ -284,7 +288,7 @@ class KeyStore:
             self._append(
                 {"op": "use", "entry": entry_id, "at": used_at, "digest": digest.hex()}
             )
-            self._mark_used(entry, used_at, digest)
+            self._mark_used(entry_id, used_at, digest)
             if self.after_persist_hook is not None:
                 self.after_persist_hook()
             return signature
@@ -294,14 +298,11 @@ class KeyStore:
             entry = self._entries.get(entry_id)
             if entry is None:
                 raise KeyNotFound(f"no entry {entry_id}")
-            return KeyEntry(entry.stored, entry.status, entry.used_at, entry.message_digest)
+            return entry
 
     def entries(self) -> Dict[int, KeyEntry]:
         with self._lock:
-            return {
-                i: KeyEntry(e.stored, e.status, e.used_at, e.message_digest)
-                for i, e in self._entries.items()
-            }
+            return dict(self._entries)
 
     def close(self) -> None:
         fh, self._fh = self._fh, None

@@ -172,3 +172,24 @@ def test_every_reject_stage_is_a_verify_reason(fixed_scenario):
     bad_aggregate = replace(bundle, omega=bundle.omega * eng.g1)
     reasons = {scheme.verify(eng, params, b).reason for b in (bad_cert, bad_aggregate)}
     assert set(stages) <= reasons, (stages, reasons)
+
+
+def test_traced_keystore_open_counts_records(fixed_scenario, tmp_path):
+    # the benchmark's open hook reads entries(), each entry's status and the
+    # store's path to count records and journal bytes
+    eng, (_, trec) = fixed_scenario["engine"], fixed_scenario["tas"][b"TA-1"]
+    path = tmp_path / "keys.journal"
+    with keystore.KeyStore(path, eng) as store:
+        first = store.store_key(fixed_scenario["keys"][b"ID-A"])
+        store.store_key(fixed_scenario["keys"][b"ID-B"])
+        store.sign_once(first, trec, b"message-1")
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_layers(tracer, bls12381, envelopes, scheme, keystore)
+        keystore.KeyStore(path, eng).close()
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["keystore.open"] == 1
+    assert tracer.counts["keystore.records"] == 3
+    assert tracer.counts["keystore.journal_bytes"] == path.stat().st_size

@@ -25,7 +25,7 @@ from mtaotibas.errors import (
 from mtaotibas.keystore import STATUS_FRESH, STATUS_USED, KeyStore
 from mtaotibas.pairing import bls12381
 
-from conftest import off_subgroup_g1_point
+from conftest import cli_lifecycle_steps, off_subgroup_g1_point, prepare_cli_dir
 
 GOLDEN_JOURNAL = Path(__file__).parent / "data" / "mock_keys.journal"
 
@@ -434,6 +434,143 @@ def test_torn_record_header_dropped_then_clean_reopen(setup, torn):
             store.sign_once(a, trec, b"message-1")
     with KeyStore(path, eng) as store:
         assert store.get(a).status == STATUS_USED
+
+
+@pytest.mark.parametrize("cut", range(1, len(keystore.JOURNAL_MAGIC)))
+def test_torn_new_journal_opens_empty(setup, cut):
+    # a new journal cut inside its header holds no record: it opens as new
+    eng, _, key, path = setup
+    KeyStore(path, eng).close()
+    path.write_bytes(path.read_bytes()[:cut])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with KeyStore(path, eng) as store:
+            assert store.entries() == {}
+            a = store.store_key(key)
+        with KeyStore(path, eng) as store:
+            assert store.get(a).status == STATUS_FRESH
+    assert path.read_bytes().startswith(keystore.JOURNAL_MAGIC)
+
+
+@pytest.mark.parametrize("cut", [1, 4, 7])
+def test_cli_extract_on_torn_new_journal_exits_0(tmp_path, monkeypatch, cut):
+    monkeypatch.chdir(tmp_path)
+    prepare_cli_dir(tmp_path)
+    steps = dict(cli_lifecycle_steps())
+    runner = CliRunner()
+    for name in ("root-setup", "ta-enroll-1"):
+        assert runner.invoke(main, steps[name]).exit_code == 0
+    (tmp_path / "keys.journal").write_bytes(keystore.JOURNAL_MAGIC[:cut])
+    result = runner.invoke(main, steps["extract-a"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["entry_id"] == 1
+
+
+def test_failed_header_write_releases_the_lock(setup, monkeypatch):
+    eng, _, key, path = setup
+    _inject(None, monkeypatch, "fsync")
+    try:
+        KeyStore(path, eng)
+    except OSError:
+        # the failed store is still referenced from this frame's traceback;
+        # it must not keep the journal locked
+        with KeyStore(path, eng) as store:
+            assert store.entries() == {}
+            store.store_key(key)
+    else:
+        pytest.fail("the header's fsync did not fail")
+
+
+@pytest.mark.parametrize("head", [b"XXXX", b"MTAX"])
+def test_short_journal_that_is_no_header_prefix_is_corrupt(setup, head):
+    eng, _, _, path = setup
+    path.write_bytes(head)
+    with pytest.raises(CorruptJournal, match="bad journal header"):
+        KeyStore(path, eng)
+    assert path.read_bytes() == head
+
+
+@pytest.mark.parametrize("zeros", [9, 16, 150, 400])
+def test_zero_filled_tail_dropped_with_warning(setup, zeros):
+    # a crash can leave zeros where an append was cut; the writer never
+    # writes an empty payload, so they hold no record
+    eng, trec, key, path = setup
+    with KeyStore(path, eng) as store:
+        a = store.store_key(key)
+    size = path.stat().st_size
+    with open(path, "ab") as fh:
+        fh.write(bytes(zeros))
+    with pytest.warns(UserWarning, match=f"offset {size}"):
+        with KeyStore(path, eng) as store:
+            assert store.get(a).status == STATUS_FRESH
+    assert path.stat().st_size == size
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with KeyStore(path, eng) as store:
+            store.sign_once(a, trec, b"message-1")
+
+
+def test_zero_region_before_a_whole_record_is_corrupt(setup):
+    eng, _, key, path = setup
+    with KeyStore(path, eng) as store:
+        store.store_key(key)
+    size = path.stat().st_size
+    with open(path, "ab") as fh:
+        fh.write(bytes(150) + _record(_USE))
+    with pytest.raises(CorruptJournal, match=f"offset {size}:"):
+        KeyStore(path, eng)
+    assert path.stat().st_size == size + 150 + len(_record(_USE))
+
+
+def _record_offsets(data):
+    offsets, off = [], len(keystore.JOURNAL_MAGIC)
+    while off < len(data):
+        offsets.append(off)
+        off += 8 + struct.unpack_from(">I", data, off)[0]
+    return offsets
+
+
+def _state(store):
+    return {i: (e.stored.raw, e.status, e.used_at, e.message_digest)
+            for i, e in store.entries().items()}
+
+
+def _open_state(path, eng):
+    """(state, warned) of the journal at ``path``; raises CorruptJournal."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with KeyStore(path, eng) as store:
+            return _state(store), bool(caught)
+
+
+def test_damage_costs_at_most_the_final_record(fixed_scenario, tmp_path):
+    """Every single-bit flip of the committed journal (add 1, add 2, use 1)
+    raises CorruptJournal or loses only the final record, and so does every
+    cut inside that record: a used key never signs again."""
+    eng = fixed_scenario["engine"]
+    data = GOLDEN_JOURNAL.read_bytes()
+    assert 8 * len(data) == 3712
+    last = _record_offsets(data)[-1]
+    path = tmp_path / "keys.journal"
+    path.write_bytes(data[:last])
+    kept, warned = _open_state(path, eng)
+    assert kept[1][1] == STATUS_FRESH and not warned
+
+    damaged = [data[:cut] for cut in range(last + 1, len(data))]
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        damaged.append(bytes(flipped))
+    wrong = []
+    for journal in damaged:
+        path.write_bytes(journal)
+        try:
+            state, warned = _open_state(path, eng)
+        except CorruptJournal:
+            continue
+        if state != kept or not warned or path.stat().st_size != last:
+            wrong.append(journal)
+    assert wrong == []
 
 
 def test_damaged_stored_key_fails_on_use(bls_engine, tmp_path):
