@@ -59,7 +59,8 @@ class _ErrorBoundary(click.Group):
             return super().invoke(ctx)
         except KeyAlreadyUsed as exc:
             _fail(EXIT_ONE_TIME, str(exc))
-        except (MtaError, OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        # ValueError covers JSON and UTF-8 decoding; json raises RecursionError on deep nesting
+        except (MtaError, OSError, ValueError, RecursionError) as exc:
             _fail(EXIT_MALFORMED, str(exc))
 
 

@@ -28,10 +28,9 @@ duplicate check is one lookup.
 A record that is not whole, non-empty and CRC-valid is dropped with a
 warning, as a torn or crash-zeroed last write, only if no whole record
 starts anywhere after it; otherwise, and for a CRC-valid record that
-breaks the schema (a lone empty frame included), replay raises
-CorruptJournal naming its offset. One damaged byte thus costs at most the
-final record. An OS-level file lock keeps two processes from appending
-to the same journal.
+breaks the schema, replay raises CorruptJournal naming its offset. One
+damaged byte thus costs at most the final record. An OS-level file lock
+keeps two processes from appending to the same journal.
 
 Every write and truncate is fsynced through one helper. A failure there
 closes the store, releasing its lock, before the error reaches the
@@ -162,10 +161,8 @@ class KeyStore:
         while off < size:
             end = _frame(data, off)
             if end is None:
-                # a torn or crash-zeroed last write has no whole record after
-                # it; a lone empty frame (8 zero bytes: length 0, CRC 0) is
-                # shorter than any append, so it is a record that breaks the schema
-                if data[off:] == bytes(8) or any(_frame(data, o) for o in range(off + 1, size)):
+                # a torn or crash-zeroed last write has no whole record after it
+                if any(_frame(data, o) for o in range(off + 1, size)):
                     raise CorruptJournal(f"{self.path}: record at offset {off}: unreadable frame")
                 torn = "torn record header" if off + 4 > size else "torn record"
                 warnings.warn(f"{self.path}: dropping {torn} at offset {off}")
@@ -201,7 +198,7 @@ class KeyStore:
 
         try:
             rec = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # deep nesting
             raise corrupt(f"unreadable: {exc}") from exc
         if not isinstance(rec, dict):
             raise corrupt("not a JSON object")

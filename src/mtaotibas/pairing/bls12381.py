@@ -49,7 +49,6 @@ import hmac
 import struct
 import threading
 from collections import OrderedDict
-from functools import lru_cache
 
 from ..encoding import expand_bytes
 from ..errors import InvalidElement
@@ -915,16 +914,17 @@ class Bls12381Engine(PairingEngine):
         self.identity_g1 = G1Point(None)
         self.identity_g2 = G2Point(None)
         self.identity_gt = GTElement(FQ12_ONE)
-        # hash_to_g1 is a pure function of (tag, input); memoize it
-        self._hash_g1 = lru_cache(maxsize=8192)(hash_to_g1_point)
         # the Miller lines of recent G2 arguments, least recently used first;
         # filled by multi_pair, so an engine that never pairs builds none
         self._lines = OrderedDict()
         self._lines_lock = threading.Lock()
 
-    # pair, multi_pair, hash_to_g1 and the decoders stay in this class body:
-    # the benchmark's tracer wraps them here by name
+    # pair, multi_pair, hash_to_g1 and the decoders stay in this class body,
+    # pair and hash_to_g1 bound from the base: the benchmark's tracer wraps
+    # them here by name. The base memoizes the uncached _hash_to_g1.
     pair = PairingEngine.pair
+    hash_to_g1 = PairingEngine.hash_to_g1
+    _hash_to_g1 = staticmethod(hash_to_g1_point)
 
     def multi_pair(self, terms) -> GTElement:
         pairs = [(p.pt, r.pt) for p, r in self._counted(terms)]
@@ -950,10 +950,6 @@ class Bls12381Engine(PairingEngine):
                 while len(self._lines) > _LINE_CACHE_POINTS:
                     self._lines.popitem(last=False)
         return [found[q] for q in qs]
-
-    def hash_to_g1(self, tag: bytes, data: bytes) -> G1Point:
-        # an empty tag raises ValueError in expand_bytes and is never cached
-        return G1Point(self._hash_g1(bytes(tag), bytes(data)))
 
     def g1_product(self, pairs) -> G1Point:
         return G1Point(g1_msm([(p.pt, k) for p, k in self._g1_terms(pairs)]))

@@ -2,6 +2,7 @@
 shares, written once."""
 
 import threading
+from functools import lru_cache
 
 from ..encoding import hash_to_int_wide
 from ..errors import EmptyInput, InvalidElement, UnsupportedOperation
@@ -22,24 +23,26 @@ class PairingEngine:
     classes ``G1``/``G2``, the widths ``scalar_bytes``/``g1_bytes``, the
     generators ``g1``/``g2`` and the identities
     ``identity_g1``/``identity_g2``/``identity_gt``. It provides
-    ``multi_pair`` (passing its terms through ``_counted``), ``hash_to_g1``,
-    ``_encode_g1``/``_encode_g2`` and ``decode_g1``/``decode_g2``, which
-    reject all but canonical encodings of subgroup elements; ``psi``
-    (G2 -> G1) only where the backend has one; and may replace
-    ``g1_product``'s loop of ``*`` and ``**`` with a faster kernel that
-    passes its bases through ``_g1_terms``.
+    ``multi_pair`` (passing its terms through ``_counted``), ``_hash_to_g1``
+    (the uncached value that ``hash_to_g1`` memoizes), ``_encode_g1``/
+    ``_encode_g2`` and ``decode_g1``/``decode_g2``, which reject all but
+    canonical encodings of subgroup elements; ``psi`` (G2 -> G1) only where
+    the backend has one; and may replace ``g1_product``'s loop of ``*`` and
+    ``**`` with a faster kernel that passes its bases through ``_g1_terms``.
 
     An engine can be shared across threads. Its mutable state is the
     counter, which one lock guards and which adds one per pairing term, and
-    in the production backend the caches of two pure functions: the
-    hash-to-G1 memo (``functools.lru_cache``, thread-safe itself) and the
-    Miller lines of recent G2 arguments, whose bookkeeping a second lock
-    guards. No cache changes a result.
+    caches of pure functions: in both backends the hash-to-G1 memo
+    (``functools.lru_cache``, thread-safe itself; a mock's pinned table is
+    fixed per engine), and in production only the Miller lines of recent G2
+    arguments, whose bookkeeping a second lock guards. No cache changes a
+    result.
     """
 
     def __init__(self):
         self._pairing_count = 0
         self._count_lock = threading.Lock()
+        self._hash_g1 = lru_cache(maxsize=8192)(self._hash_to_g1)
 
     @property
     def pairing_count(self) -> int:
@@ -83,6 +86,10 @@ class PairingEngine:
         raise UnsupportedOperation(
             f"the {self.backend} backend exposes no efficient G2->G1 isomorphism; use the mock backend"
         )
+
+    def hash_to_g1(self, tag: bytes, data: bytes):
+        """H(tag, data) in G1, memoized; an error (an empty tag's ValueError) is never cached."""
+        return self.G1(self._hash_g1(bytes(tag), bytes(data)))
 
     def hash_to_scalar(self, tag: bytes, data: bytes) -> int:
         """A scalar in [1, order - 1]; the domain tag must be non-empty

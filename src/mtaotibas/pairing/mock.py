@@ -143,9 +143,9 @@ class MockEngine(PairingEngine):
             raise ValueError("domain tag must be non-empty")
         return self._table.get((op, bytes(tag), bytes(data)))
 
-    def hash_to_g1(self, tag: bytes, data: bytes) -> MockG1:
+    def _hash_to_g1(self, tag: bytes, data: bytes) -> int:
         pinned = self._pinned("hash_to_g1", tag, data)
-        return MockG1(hash_to_int_wide(tag, data, self.order) if pinned is None else pinned)
+        return hash_to_int_wide(tag, data, self.order) if pinned is None else pinned
 
     def hash_to_scalar(self, tag: bytes, data: bytes) -> int:
         pinned = self._pinned("hash_to_scalar", tag, data)

@@ -259,15 +259,16 @@ def verify(engine, params: SystemParams, bundle: AggregateBundle,
     if any(not signers for _, signers in bundle.groups):
         return VerifyResult(False, reason="empty authority group")
 
+    # one encoding per authority keys the dedupe (its fingerprint hashes the same bytes) and H1
+    certs = [ta.cert_bytes(engine) for ta, _ in bundle.groups]
     seen = set()
-    for ta, signers in bundle.groups:
-        fp = ta.fingerprint(engine)
+    for (_, signers), cert_b in zip(bundle.groups, certs):
         for ident, _ in signers:
             if not ident:
                 return VerifyResult(False, reason="empty signer identity")
-            if (ident, fp) in seen:
+            if (ident, cert_b) in seen:
                 return VerifyResult(False, reason="duplicate (identity, authority) pair")
-            seen.add((ident, fp))
+            seen.add((ident, cert_b))
 
     # every certificate equation raised to a fresh random weight rho_i, so
     # independent failures cannot cancel
@@ -282,8 +283,7 @@ def verify(engine, params: SystemParams, bundle: AggregateBundle,
                                 pairings_certificates=len(cert_terms))
 
     inner = []
-    for ta, signers in bundle.groups:
-        cert_b = ta.cert_bytes(engine)
+    for (ta, signers), cert_b in zip(bundle.groups, certs):
         powers = []
         for ident, message in signers:
             h = hashes.message_scalar(message, ident, cert_b)

@@ -45,8 +45,9 @@ def test_install_layers_patches_and_restores():
                    for attr, value in saved.items() if vars(owner)[attr] is not value}
     finally:
         tracer.uninstall()
-    assert patched >= {"multi_pair", "decode_g2", "g1_mul", "g2_mul", "multi_miller_loop",
-                       "final_exponentiation", "from_json_obj", "verify", "__init__", "store_key"}
+    assert patched >= {"pair", "multi_pair", "hash_to_g1", "decode_g1", "decode_g2", "g1_mul", "g2_mul",
+                       "multi_miller_loop", "final_exponentiation", "from_json_obj", "verify",
+                       "__init__", "store_key"}
     for owner, saved in zip(owners, before):
         assert dict(vars(owner)) == saved, owner
 
@@ -90,6 +91,28 @@ def test_traced_multi_pair_counts_on_the_cached_path():
             assert tracer.calls["pairing.multi_pair"] == 1 + cached // 3
     finally:
         tracer.uninstall()
+
+
+def test_traced_hash_to_g1_counts_memo_hits():
+    # the benchmark reads pairing.hash_to_g1_calls from the traced method and
+    # the repeat share from HashWatch; a memo hit must still reach both
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    engine_class = bls12381.Bls12381Engine
+    original = vars(engine_class)["hash_to_g1"]
+    try:
+        watch = tracing.HashWatch(engine_class)  # it has no uninstall
+        tracing.install_layers(tracer, bls12381, envelopes, scheme, keystore)
+        engine = engine_class()
+        first = engine.hash_to_g1(b"T", b"memo hit")
+        assert engine.hash_to_g1(b"T", b"memo hit") == first
+        assert engine._hash_g1.cache_info().hits == 1
+        assert tracer.calls["pairing.hash_to_g1"] == 2
+        assert watch.snapshot() == (2, 1)
+    finally:
+        tracer.uninstall()
+        engine_class.hash_to_g1 = original
+    assert vars(engine_class)["hash_to_g1"] is original
 
 
 def _module_path(node):

@@ -448,6 +448,19 @@ def test_workload_bit_checked_before_any_operation(lifecycle_dir, tmp_path, monk
     assert ran == []
 
 
+@pytest.mark.parametrize("name", ["params.json", "bundle.json", "layout.json", "workload.json"])
+def test_deeply_nested_json_exits_2(lifecycle_dir, tmp_path, monkeypatch, name):
+    # json raises RecursionError, not ValueError, on nesting this deep
+    shutil.copytree(lifecycle_dir, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text("[" * 200_000)
+    result = CliRunner().invoke(main, MOCK + _JSON_INPUTS[name][1])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: "), result.stderr
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback escaped
+
+
 # -- the error contract of every command ---------------------------------------
 
 _CONTRACT_ERRORS = [(KeyAlreadyUsed("planted"), 3), (InvalidElement("planted"), 2),

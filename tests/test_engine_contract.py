@@ -96,7 +96,32 @@ def test_scalar_codec_rejects_out_of_range_and_bad_length(engine):
 
 
 def test_hashes_reject_empty_tag(engine):
-    with pytest.raises(ValueError):
-        engine.hash_to_g1(b"", b"x")
-    with pytest.raises(ValueError):
-        engine.hash_to_scalar(b"", b"x")
+    # twice in a row: the hash-to-G1 memo never caches an error
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            engine.hash_to_g1(b"", b"x")
+        with pytest.raises(ValueError):
+            engine.hash_to_scalar(b"", b"x")
+
+
+def _counting_engine(engine):
+    """A new engine of ``engine``'s backend and the list of inputs its uncached
+    ``_hash_to_g1`` ran on. The memo binds ``_hash_to_g1`` when the engine is
+    built, so the wrapper goes on the instance before ``__init__``."""
+    fresh = object.__new__(type(engine))
+    raw, runs = fresh._hash_to_g1, []
+    fresh._hash_to_g1 = lambda tag, data: runs.append((tag, data)) or raw(tag, data)
+    fresh.__init__()
+    return fresh, runs
+
+
+def test_hash_to_g1_memo_runs_the_raw_hash_once_per_input(engine):
+    fresh, runs = _counting_engine(engine)
+    first = fresh.hash_to_g1(b"T", b"x")
+    assert type(first) is fresh.G1 and first == engine.hash_to_g1(b"T", b"x")
+    assert fresh.hash_to_g1(b"T", b"x") == first
+    assert fresh.hash_to_g1(bytearray(b"T"), memoryview(b"x")) == first
+    assert runs == [(b"T", b"x")]
+    fresh.hash_to_g1(b"U", b"x")
+    fresh.hash_to_g1(b"T", b"y")
+    assert runs == [(b"T", b"x"), (b"U", b"x"), (b"T", b"y")]

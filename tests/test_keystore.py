@@ -391,8 +391,8 @@ def test_cli_sign_on_non_finite_at_exits_2(setup, tmp_path, at):
     assert path.stat().st_size == size
 
 
-@pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"not json", b"", b'{"op": "add"'],
-                         ids=["not-utf8", "not-json", "empty", "cut-json"])
+@pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"not json", b'{"op": "add"', b"[" * 100_000],
+                         ids=["not-utf8", "not-json", "cut-json", "deep-nesting"])
 def test_crc_valid_unreadable_payload_is_corrupt(setup, payload):
     eng, _, key, path = setup
     with KeyStore(path, eng) as store:
@@ -490,10 +490,11 @@ def test_short_journal_that_is_no_header_prefix_is_corrupt(setup, head):
     assert path.read_bytes() == head
 
 
-@pytest.mark.parametrize("zeros", [9, 16, 150, 400])
+@pytest.mark.parametrize("zeros", [8, 9, 16, 150, 400])
 def test_zero_filled_tail_dropped_with_warning(setup, zeros):
     # a crash can leave zeros where an append was cut; the writer never
-    # writes an empty payload, so they hold no record
+    # writes an empty payload, so they hold no record, even as exactly one
+    # empty frame (8 zero bytes: length 0, CRC 0)
     eng, trec, key, path = setup
     with KeyStore(path, eng) as store:
         a = store.store_key(key)
@@ -510,16 +511,17 @@ def test_zero_filled_tail_dropped_with_warning(setup, zeros):
             store.sign_once(a, trec, b"message-1")
 
 
-def test_zero_region_before_a_whole_record_is_corrupt(setup):
+@pytest.mark.parametrize("zeros", [8, 150])
+def test_zero_region_before_a_whole_record_is_corrupt(setup, zeros):
     eng, _, key, path = setup
     with KeyStore(path, eng) as store:
         store.store_key(key)
     size = path.stat().st_size
     with open(path, "ab") as fh:
-        fh.write(bytes(150) + _record(_USE))
+        fh.write(bytes(zeros) + _record(_USE))
     with pytest.raises(CorruptJournal, match=f"offset {size}:"):
         KeyStore(path, eng)
-    assert path.stat().st_size == size + 150 + len(_record(_USE))
+    assert path.stat().st_size == size + zeros + len(_record(_USE))
 
 
 def _record_offsets(data):

@@ -94,8 +94,9 @@ def test_mock_oracle_agreement(mock_engine):
 
 def test_hash_table_pinning():
     e = MockEngine(table=fixed_mock_table())
-    assert e.dlog(e.hash_to_g1(DOMAIN_H0, b"ID-A\x00")) == 3
-    assert e.dlog(e.hash_to_g1(DOMAIN_H0, b"ID-A\x01")) == 5
+    for _ in range(2):  # the first call and a memo hit
+        assert e.dlog(e.hash_to_g1(DOMAIN_H0, b"ID-A\x00")) == 3
+        assert e.dlog(e.hash_to_g1(DOMAIN_H0, b"ID-A\x01")) == 5
 
 
 def test_hash_determinism_and_fallback(mock_engine):
