@@ -321,6 +321,7 @@ def load_json(path, engine, expect: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError covers JSON and UTF-8 decoding; json raises RecursionError on deep nesting
+        except (ValueError, RecursionError) as exc:
             raise MalformedEnvelope(f"not valid JSON: {exc}") from exc
     return from_json_obj(engine, doc, expect)

@@ -13,9 +13,10 @@ Journal layout: an 8-byte header, then framed records of
     {"op": "add", "entry": 7, "key": "<hex signer-key envelope>"}
     {"op": "use", "entry": 7, "at": 1730000000.0, "digest": "<sha256 hex>"}
 
-Opening takes the lock and replays. A file that is empty or a strict
-prefix of the header holds no record (new, or cut before its header was
-durable) and gets the header; any other bad header raises CorruptJournal.
+Opening takes the lock and replays. A file that is empty, a strict prefix
+of the header or at most a header's length of zero bytes holds no record
+(new, or cut or zero-filled by a crash before its header was durable) and
+gets the header; any other bad header raises CorruptJournal.
 Replay checks each record's framing, CRC and schema; for an ``add`` it
 reads the signer identity and authority fingerprint from the envelope's
 framing and keeps the envelope bytes. The key's two G1 points are decoded,
@@ -154,10 +155,16 @@ class KeyStore:
         data = self._fh.read()
         size = len(data)
         off = len(JOURNAL_MAGIC)
-        if not JOURNAL_MAGIC.startswith(data[:off]):
+        head = b"" if size <= off and not any(data) else data[:off]  # a crash can zero-fill a new file
+        if not JOURNAL_MAGIC.startswith(head):
             raise CorruptJournal(f"{self.path}: bad journal header")
-        if size < off:  # new, or cut before the header's fsync returned: no record yet
-            self._durably(lambda fh: fh.write(JOURNAL_MAGIC[size:]))
+        if len(head) < off:  # new, or cut or zeroed before the header's fsync returned: no record yet
+
+            def write_header(fh):
+                fh.truncate(len(head))
+                fh.write(JOURNAL_MAGIC[len(head):])
+
+            self._durably(write_header)
         while off < size:
             end = _frame(data, off)
             if end is None:

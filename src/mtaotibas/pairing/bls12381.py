@@ -7,8 +7,17 @@ splits each scalar with the GLV endomorphism phi and interleaves all
 points over one chain of doublings (Straus), each point with a table of
 i*P + j*phi(P), i, j in 0..3; g1_mul is its one-point case. One batched
 normalization, one inversion for a whole list, brings G1 tables and
-results to affine. g1_mul_plain, the reference, and g2_mul share one
-double-and-add ladder.
+results to affine. g1_mul_plain, the reference, is a double-and-add ladder.
+
+On the twist E' over Fq2, psi (untwist, Frobenius, twist: two conjugations
+and two products by constants) acts on G2 as [x] = -[|x|]. g2_mul splits
+k mod r into four base-|x| digits of 64 bits (Galbraith-Lin-Scott,
+EUROCRYPT 2009) over the bases Q, -psi(Q), psi^2(Q), -psi^3(Q): one chain
+of 64 doublings and a 15-entry joint table, against 255 doublings for the
+ladder. The subgroup checks are Scott's (ePrint 2021/1130): Q on E' is in
+G2 iff psi(Q) = -[|x|]Q, and P on E is in G1 iff [x^2]P = -phi^2(P), Bowe's
+test (ePrint 2019/814) with the GLV phi. Both multiply by the ladder, on
+64 and 128 bits, as the endomorphism splits hold only on the subgroups.
 
 The Miller loop is lines, then evaluation. The lines depend on the G2
 argument Q alone: _g2_lines walks T from Q to [|x|]Q in affine coordinates,
@@ -41,8 +50,9 @@ coordinates in that same order. Decoding checks, in order, the length, the
 compression flag, the identity form, x < p, the curve and the subgroup,
 and raises InvalidElement at the first failure.
 
-There is no efficiently computable G2->G1 isomorphism here, so psi is
-unsupported on this backend.
+There is no efficiently computable G2->G1 isomorphism here, so the
+engine's psi (G2 -> G1, not the twist endomorphism above) is unsupported
+on this backend.
 """
 
 import hmac
@@ -362,7 +372,8 @@ def g1_add(p1, p2):
 
 def _ladder(double, add_affine, zero, pt, k):
     # left-to-right double-and-add of an affine point by k >= 1, with k used
-    # as given: g1_mul_plain multiplies by ORDER itself, g2_mul reduces first
+    # as given, so it is valid on every curve point: the subgroup checks
+    # multiply by x^2 and |x| with it
     acc = zero
     x, y = pt
     for bit in bin(k)[2:]:
@@ -463,7 +474,13 @@ def g1_mul(pt, k):
 
 
 def g1_in_subgroup(pt):
-    return pt is None or (g1_on_curve(pt) and g1_mul_plain(pt, ORDER) is None)
+    # Bowe's test (ePrint 2019/814) in Scott's form (ePrint 2021/1130): a
+    # curve point P is in G1 iff [x^2]P = -phi(phi(P)) = (beta^2*x_P, -y_P),
+    # with [x^2]P by the ladder, as the GLV split holds only on G1
+    if pt is None:
+        return True
+    x, y = pt
+    return g1_on_curve(pt) and g1_mul_plain(pt, X_CURVE * X_CURVE) == (GLV_BETA * GLV_BETA * x % PRIME, -y % PRIME)
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +567,90 @@ def _j2_add_affine(X1, Y1, Z1, x2, y2):
     return ((x3r, x3i), (y3r, y3i), (z3r, z3i))
 
 
+# psi, the twist endomorphism of E' (untwist, Frobenius, twist):
+# psi(x, y) = (conj(x)*c_x, conj(y)*c_y) with c_x = xi^-((p-1)/3) and
+# c_y = xi^-((p-1)/2). On G2 it acts as [p] = [x] (p = x mod r), that is as
+# -[|x|]. test_psi_constants checks both literals against fq2_pow and
+# psi(G2) = [x]G2.
+_PSI_CX = (0, 0x1A0111EA397FE699EC02408663D4DE85AA0D857D89759AD4897D29650FB85F9B409427EB4F49FFFD8BFD00000000AAAD)
+_PSI_CY = (
+    0x135203E60180A68EE2E9C448D77A2CD91C3DEDD930B1CF60EF396489F61EB45E304466CF3E67FA0AF1EE7B04121BDEA2,
+    0x06AF0E0437FF400B6831E36D6BD17FFE48395DABC2D3435E77F76E17009241C5EE67992F72EC05F4C81084FBEDE3CC09,
+)
+
+
+def _g2_psi(pt):
+    x, y = pt
+    return (fq2_mul(fq2_conj(x), _PSI_CX), fq2_mul(fq2_conj(y), _PSI_CY))
+
+
+def _j2_batch_normalize(points):
+    # Jacobian to affine with one fq2_batch_inv; every Z must be nonzero
+    out = []
+    for (X, Y, _), zi in zip(points, fq2_batch_inv([Z for _, _, Z in points])):
+        zi2 = fq2_sqr(zi)
+        out.append((fq2_mul(X, zi2), fq2_mul(Y, fq2_mul(zi2, zi))))
+    return out
+
+
+def _gls_table(pt):
+    # affine [m0 + m1*|x| + m2*|x|^2 + m3*|x|^3]Q at index m = 1..15, m_i the
+    # bits of m: sums of the bases Q, -psi(Q), psi^2(Q), -psi^3(Q). For an
+    # r-subgroup point none is the identity, as each multiple is below r.
+    psis = [pt]
+    for _ in range(3):
+        psis.append(_g2_psi(psis[-1]))
+    table = [None] * 16
+    for i, (x, y) in enumerate(psis):
+        table[1 << i] = (x, fq2_neg(y) if i % 2 else y)
+    sums = [m for m in range(3, 16) if m & (m - 1)]  # two bases or more
+    jac = {}
+    for m in sums:
+        low = m & -m
+        rest = m ^ low
+        jac[m] = _j2_add_affine(*(jac[rest] if rest in jac else (*table[rest], _FQ2_ONE)), *table[low])
+    for m, q in zip(sums, _j2_batch_normalize([jac[m] for m in sums])):
+        table[m] = q
+    return table
+
+
 def g2_mul(pt, k):
+    """[k]Q for Q in G2 (None = identity), by Galbraith-Lin-Scott
+    (EUROCRYPT 2009): k mod r < |x|^4 splits into four base-|x| digits of
+    64 bits, and psi gives each power of |x| times Q for free, so one chain
+    of 64 doublings adds one entry of _gls_table per nonzero column of digit
+    bits. Valid only on the r-subgroup, where psi acts as [x]."""
     k %= ORDER
     if pt is None or k == 0:
         return None
-    X, Y, Z = _ladder(_j2_double, _j2_add_affine, (_FQ2_ZERO, _FQ2_ONE, _FQ2_ZERO), pt, k)
-    if Z == _FQ2_ZERO:
+    k, d0 = divmod(k, ABS_X)
+    k, d1 = divmod(k, ABS_X)
+    d3, d2 = divmod(k, ABS_X)
+    table = _gls_table(pt)
+    acc = (_FQ2_ZERO, _FQ2_ONE, _FQ2_ZERO)
+    for shift in range(max(d0, d1, d2, d3).bit_length() - 1, -1, -1):
+        acc = _j2_double(*acc)
+        sel = ((d0 >> shift) & 1) | ((d1 >> shift) & 1) << 1 | ((d2 >> shift) & 1) << 2 | ((d3 >> shift) & 1) << 3
+        if sel:
+            acc = _j2_add_affine(*acc, *table[sel])
+    if acc[2] == _FQ2_ZERO:
         return None
-    zi = fq2_inv(Z)
-    zi2 = fq2_sqr(zi)
-    return (fq2_mul(X, zi2), fq2_mul(Y, fq2_mul(zi2, zi)))
+    return _j2_batch_normalize([acc])[0]
 
 
 def g2_in_subgroup(pt):
-    return pt is None or (g2_on_curve(pt) and g2_mul(pt, ORDER) is None)
+    # Scott's test (ePrint 2021/1130): a curve point Q is in G2 iff
+    # psi(Q) = [x]Q = -[|x|]Q, with [|x|]Q by the ladder, as g2_mul's split
+    # holds only on G2
+    if pt is None:
+        return True
+    if not g2_on_curve(pt):
+        return False
+    jac = _ladder(_j2_double, _j2_add_affine, (_FQ2_ZERO, _FQ2_ONE, _FQ2_ZERO), pt, ABS_X)
+    if jac[2] == _FQ2_ZERO:
+        return False
+    x, y = _j2_batch_normalize([jac])[0]
+    return _g2_psi(pt) == (x, fq2_neg(y))
 
 
 # ---------------------------------------------------------------------------

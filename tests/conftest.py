@@ -172,19 +172,47 @@ def cli_lifecycle_steps():
     ]
 
 
+_LADDERS = {  # (double, mixed add, identity) per coordinate field
+    int: (bls12381._j_double, bls12381._j_add_affine, (0, 1, 0)),
+    tuple: (bls12381._j2_double, bls12381._j2_add_affine,
+            (bls12381._FQ2_ZERO, bls12381._FQ2_ONE, bls12381._FQ2_ZERO)),
+}
+
+
+def ladder_mul(pt, k):
+    """[k]P in Jacobian coordinates by the plain double-and-add ladder, k >= 1
+    used as given, for an affine point of E (Fq coordinates) or of the twist
+    E' (Fq2 coordinates): the reference the fast paths are checked against."""
+    double, add_affine, zero = _LADDERS[type(pt[0])]
+    return bls12381._ladder(double, add_affine, zero, pt, k)
+
+
+def in_subgroup_by_ladder(pt) -> bool:
+    """The reference membership test: [r]P, with r unreduced, is the identity."""
+    return pt is None or ladder_mul(pt, bls12381.ORDER)[2] in (0, bls12381._FQ2_ZERO)
+
+
 def off_subgroup_g1_point():
-    """A BLS12-381 point on the curve but outside the r-subgroup. Scaling a
-    curve point by r gives the identity, so walk x until a curve point has a
-    cofactor component."""
+    """A BLS12-381 point on the curve but outside the r-subgroup: walk x until
+    a curve point fails the reference test."""
     x = 1
     while True:
-        t = (x * x * x + 4) % bls12381.PRIME
-        y = bls12381._fq_sqrt(t)
-        if y is not None:
-            pt = (x, y)
-            if not bls12381.g1_in_subgroup(pt):
-                return pt
+        y = bls12381._fq_sqrt((x * x * x + 4) % bls12381.PRIME)
+        if y is not None and not in_subgroup_by_ladder((x, y)):
+            return (x, y)
         x += 1
+
+
+def off_subgroup_g2_point():
+    """A point of the twist E' outside the r-subgroup, by the same walk over
+    x = (k, 0)."""
+    k = 1
+    while True:
+        x = (k, 0)
+        y = bls12381._fq2_sqrt(bls12381.fq2_add(bls12381.fq2_mul(bls12381.fq2_sqr(x), x), bls12381._B2))
+        if y is not None and not in_subgroup_by_ladder((x, y)):
+            return (x, y)
+        k += 1
 
 
 def random_honest_bundle(engine, rng, n, l):

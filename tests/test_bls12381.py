@@ -11,7 +11,7 @@ from mtaotibas.errors import EmptyInput, InvalidElement, UnsupportedOperation
 from mtaotibas.pairing import bls12381 as curve
 from mtaotibas.pairing import get_engine
 
-from conftest import off_subgroup_g1_point
+from conftest import in_subgroup_by_ladder, ladder_mul, off_subgroup_g1_point, off_subgroup_g2_point
 
 
 def _bilinearity_worker(args):
@@ -298,6 +298,125 @@ def test_g2_mul_edges_and_composition():
     for _ in range(2):
         a, b = rng.randrange(2, r), rng.randrange(2, r)
         assert curve.g2_mul(curve.g2_mul(q, b), a) == curve.g2_mul(q, a * b % r)
+
+
+def _to_affine(jac):
+    # Jacobian to affine, one inversion per point; Z = 0 is the identity
+    X, Y, Z = jac
+    if type(Z) is int:
+        return curve._j_batch_normalize([jac])[0]
+    if Z == curve._FQ2_ZERO:
+        return None
+    zi = curve.fq2_inv(Z)
+    zi2 = curve.fq2_sqr(zi)
+    return (curve.fq2_mul(X, zi2), curve.fq2_mul(Y, curve.fq2_mul(zi2, zi)))
+
+
+def _ladder_mul(pt, k):
+    # the reference g2_mul replaced: the plain ladder with k as given
+    return None if k == 0 else _to_affine(ladder_mul(pt, k))
+
+
+def test_g2_mul_matches_ladder():
+    # the GLS split against the plain ladder by k unreduced, on random G2
+    # points: digit edges, multiples of r, scalars whose top base-|x| digits
+    # are zero and scalars with zero middle digits
+    r, a = curve.ORDER, curve.ABS_X
+    rng = random.Random(18)
+    g = (curve._G2X, curve._G2Y)
+    points = [g] + [_ladder_mul(g, rng.randrange(2, r)) for _ in range(2)]
+    edges = [0, 1, 2, a, a**2, a**3, r - 1, r, r + 1, 2 * r + 5, a - 1, a + 1, a**2 - 1, a**3 - 1, a**3 + 1]
+    top_zero = [rng.randrange(1, a**n) for n in (1, 2, 3) for _ in range(2)]
+    gaps = [rng.randrange(1, a) * a**3 + rng.randrange(a), rng.randrange(1, a) * a**2 + rng.randrange(a) * a,
+            (a - 1) * a**3 + (a - 1)]
+    for pt in points:
+        for k in edges + top_zero + gaps + [rng.randrange(r) for _ in range(4)]:
+            assert curve.g2_mul(pt, k) == _ladder_mul(pt, k), k
+
+
+def test_gls_table_entries():
+    # entry m is [m0 + m1*|x| + m2*|x|^2 + m3*|x|^3]Q for the bits m_i of m
+    q = _ladder_mul((curve._G2X, curve._G2Y), random.Random(20).randrange(2, curve.ORDER))
+    table = curve._gls_table(q)
+    assert table[0] is None
+    for m in range(1, 16):
+        assert table[m] == _ladder_mul(q, sum(curve.ABS_X**i for i in range(4) if m >> i & 1)), m
+
+
+def test_psi_constants():
+    # the literals are xi^-((p-1)/3) and xi^-((p-1)/2); psi acts on G2 as [x]
+    # and maps every point of E' to E'
+    p, r = curve.PRIME, curve.ORDER
+    assert curve._PSI_CX == curve.fq2_inv(curve.fq2_pow(curve._XI, (p - 1) // 3))
+    assert curve._PSI_CY == curve.fq2_inv(curve.fq2_pow(curve._XI, (p - 1) // 2))
+    g = (curve._G2X, curve._G2Y)
+    q = _ladder_mul(g, random.Random(21).randrange(2, r))
+    for pt in (g, q):
+        assert curve._g2_psi(pt) == _ladder_mul(pt, curve.X_CURVE % r)
+    off = off_subgroup_g2_point()
+    assert curve.g2_on_curve(curve._g2_psi(off)) and curve._g2_psi(off) != _ladder_mul(off, curve.X_CURVE % r)
+
+
+# the curve orders: #E(Fq) = _H1 * r and #E'(Fq2) = _H2 * r
+_X = curve.X_CURVE
+_H1 = (_X - 1) ** 2 // 3
+_H2 = (_X**8 - 4 * _X**7 + 5 * _X**6 - 4 * _X**4 + 6 * _X**3 - 4 * _X**2 - 4 * _X + 13) // 9
+_MEMBERSHIP = {  # generator, cofactor, two primes dividing it, predicate
+    "g1": ((curve._G1X, curve._G1Y), _H1, (11, 10177), curve.g1_in_subgroup),
+    "g2": ((curve._G2X, curve._G2Y), _H2, (13, 23), curve.g2_in_subgroup),
+}
+
+
+def _random_curve_point(rng, group):
+    p = curve.PRIME
+    while True:
+        if group == "g1":
+            x = rng.randrange(p)
+            y = curve._fq_sqrt((x * x * x + 4) % p)
+        else:
+            x = (rng.randrange(p), rng.randrange(p))
+            y = curve._fq2_sqrt(curve.fq2_add(curve.fq2_mul(curve.fq2_sqr(x), x), curve._B2))
+        if y is not None:
+            return (x, y)
+
+
+def _add(p1, p2):
+    if type(p1[0]) is int:
+        return curve.g1_add(p1, p2)
+    return _to_affine(curve._j2_add_affine(*p1, curve._FQ2_ONE, *p2))
+
+
+@pytest.mark.parametrize("group", ["g1", "g2"])
+def test_membership_matches_ladder(group):
+    # each predicate against the reference [r]P ladder: subgroup points,
+    # random curve points, points of small prime order, the cofactor part
+    # [r]P of a random point, and a subgroup point plus a small-order one
+    gen, cofactor, primes, in_subgroup = _MEMBERSHIP[group]
+    r = curve.ORDER
+    rng = random.Random(22)
+    inside = [gen] + [_ladder_mul(gen, rng.randrange(2, r)) for _ in range(2)]
+    randoms = [_random_curve_point(rng, group) for _ in range(3)]
+    assert all(_ladder_mul(pt, cofactor * r) is None for pt in randoms)  # the group order is right
+    small = []  # the ell-part of random points: order dividing ell^2, as ell^2 divides the cofactor
+    for ell in primes:
+        assert cofactor % ell**2 == 0 and cofactor % ell**3
+        for pt in randoms[:2]:
+            t = _ladder_mul(pt, cofactor * r // ell**2)
+            assert t is not None and _ladder_mul(t, ell**2) is None
+            small.append(t)
+    if group == "g1":
+        small += [(0, 2), (0, curve.PRIME - 2)]  # order 3 on E
+        assert all(_ladder_mul(t, 3) is None for t in small[-2:])
+    cofactor_part = [_ladder_mul(pt, r) for pt in randoms[:2]]
+    mixed = [_add(inside[1], t) for t in small]
+    outside = randoms + small + cofactor_part + mixed
+    for pt in inside + outside:
+        assert in_subgroup(pt) == in_subgroup_by_ladder(pt), pt
+    assert all(in_subgroup(pt) for pt in inside + [None])
+    assert not any(in_subgroup(pt) for pt in outside)
+    x, y = gen
+    off_curve = (x, y + 1) if group == "g1" else (x, curve.fq2_add(y, (1, 0)))
+    assert not in_subgroup(off_curve)
 
 
 def test_small_powers():
@@ -590,6 +709,13 @@ def test_decode_rejects_wrong_subgroup():
     data = curve.encode_g1_point(off_subgroup_g1_point())
     with pytest.raises(InvalidElement):
         curve.decode_g1_point(data)
+
+
+def test_decode_rejects_wrong_subgroup_g2():
+    # the same for a point of the twist E' outside G2
+    data = curve.encode_g2_point(off_subgroup_g2_point())
+    with pytest.raises(InvalidElement, match="outside the prime-order subgroup"):
+        curve.decode_g2_point(data)
 
 
 def test_fq2_sqrt_round_trip():

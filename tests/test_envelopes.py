@@ -162,6 +162,17 @@ def test_not_json_rejected(tmp_path, mock_engine):
         envelopes.load_json(path, mock_engine, "signature")
 
 
+@pytest.mark.parametrize("content", [b"[" * 200_000, b'{"format": "MTAO\xff"}'],
+                         ids=["deep-nesting", "not-utf8"])
+def test_unreadable_json_file_is_malformed(tmp_path, mock_engine, content):
+    # json raises RecursionError on deep nesting and the read UnicodeDecodeError;
+    # a caller that catches the package's errors sees MalformedEnvelope for both
+    path = tmp_path / "junk.json"
+    path.write_bytes(content)
+    with pytest.raises(MalformedEnvelope, match="not valid JSON"):
+        envelopes.load_json(path, mock_engine, "system-params")
+
+
 def test_missing_field_rejected(fixed_scenario):
     eng = fixed_scenario["engine"]
     doc = envelopes.to_json_obj(eng, fixed_scenario["signatures"][0])

@@ -452,6 +452,32 @@ def test_torn_new_journal_opens_empty(setup, cut):
     assert path.read_bytes().startswith(keystore.JOURNAL_MAGIC)
 
 
+@pytest.mark.parametrize("zeros", range(1, len(keystore.JOURNAL_MAGIC) + 1))
+def test_zero_filled_new_journal_opens_empty(setup, zeros):
+    # a crash can leave a new journal's header as zeros: it holds no record
+    eng, _, key, path = setup
+    path.write_bytes(bytes(zeros))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with KeyStore(path, eng) as store:
+            assert store.entries() == {}
+            assert path.read_bytes() == keystore.JOURNAL_MAGIC
+            a = store.store_key(key)
+        with KeyStore(path, eng) as store:
+            assert store.get(a).status == STATUS_FRESH
+
+
+def test_zero_header_before_a_whole_record_is_corrupt(setup):
+    eng, _, key, path = setup
+    with KeyStore(path, eng) as store:
+        store.store_key(key)
+    damaged = bytes(len(keystore.JOURNAL_MAGIC)) + path.read_bytes()[len(keystore.JOURNAL_MAGIC):]
+    path.write_bytes(damaged)
+    with pytest.raises(CorruptJournal, match="bad journal header"):
+        KeyStore(path, eng)
+    assert path.read_bytes() == damaged
+
+
 @pytest.mark.parametrize("cut", [1, 4, 7])
 def test_cli_extract_on_torn_new_journal_exits_0(tmp_path, monkeypatch, cut):
     monkeypatch.chdir(tmp_path)
