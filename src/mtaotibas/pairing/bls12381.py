@@ -600,18 +600,13 @@ def _gls_table(pt):
     psis = [pt]
     for _ in range(3):
         psis.append(_g2_psi(psis[-1]))
-    table = [None] * 16
-    for i, (x, y) in enumerate(psis):
-        table[1 << i] = (x, fq2_neg(y) if i % 2 else y)
-    sums = [m for m in range(3, 16) if m & (m - 1)]  # two bases or more
-    jac = {}
-    for m in sums:
+    bases = [(x, fq2_neg(y) if i % 2 else y) for i, (x, y) in enumerate(psis)]
+    jac = [None]
+    for m in range(1, 16):
         low = m & -m
-        rest = m ^ low
-        jac[m] = _j2_add_affine(*(jac[rest] if rest in jac else (*table[rest], _FQ2_ONE)), *table[low])
-    for m, q in zip(sums, _j2_batch_normalize([jac[m] for m in sums])):
-        table[m] = q
-    return table
+        x, y = bases[low.bit_length() - 1]
+        jac.append((x, y, _FQ2_ONE) if m == low else _j2_add_affine(*jac[m ^ low], x, y))
+    return [None] + _j2_batch_normalize(jac[1:])
 
 
 def g2_mul(pt, k):

@@ -8,7 +8,8 @@ element passes the reference subgroup check, the plain ladder by the
 unreduced group order r, and which re-encodes to the bytes read.
 
 The mock cases run in full. The production cases are a fixed seeded sample of
-PRODUCTION_SAMPLE, as each decodes curve points.
+PRODUCTION_SAMPLE, as each decodes curve points, and CLI_SAMPLE of them also
+go through the CLI.
 """
 
 import dataclasses
@@ -17,7 +18,11 @@ import random
 import warnings
 from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+
 from mtaotibas import envelopes
+from mtaotibas.cli import main
 from mtaotibas.errors import CorruptJournal, InvalidElement, MalformedEnvelope
 from mtaotibas.keystore import KeyStore
 from mtaotibas.pairing import MockEngine, get_engine
@@ -30,6 +35,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_envelopes.json").read_text())
 TYPES = sorted(envelopes._TYPES)
 PRODUCTION_SAMPLE = 4000
+CLI_SAMPLE = 20
 SEED = 0xC0A5
 
 
@@ -148,6 +154,23 @@ def test_production_corpus_covers_g2_cases():
     for name in ("system-params", "ta-record", "aggregate-bundle"):
         labels = [label for label, *_ in cases if label.startswith(name)]
         assert any(" flip " in label for label in labels) and any(" cut " in label for label in labels)
+
+
+@pytest.mark.parametrize("name", ["system-params", "aggregate-bundle"])
+def test_cli_verify_on_damaged_inputs_exits_1_or_2(tmp_path, monkeypatch, name):
+    # damaged params or bundle: exit 1 (decodes, does not verify) or 2 (does
+    # not decode), never a traceback
+    monkeypatch.chdir(tmp_path)
+    vectors = {n: GOLDEN["production"][n]["json"].encode() for n in ("system-params", "aggregate-bundle")}
+    mutants = list(_mutants(vectors[name], random.Random(f"{SEED}-cli-{name}")))
+    for label, data in random.Random(SEED).sample(mutants, CLI_SAMPLE):
+        for n, vector in vectors.items():
+            (tmp_path / f"{n}.json").write_bytes(data if n == name else vector)
+        result = CliRunner().invoke(main, ["verify", "--params", "system-params.json",
+                                           "--bundle", "aggregate-bundle.json"])
+        assert result.exit_code in (1, 2), f"{label}: {result.output}"
+        assert isinstance(result.exception, SystemExit), f"{label}: {result.exception!r}"
+        assert "Traceback" not in result.output, label
 
 
 def test_journal_corpus(tmp_path):
