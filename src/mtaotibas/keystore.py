@@ -159,11 +159,9 @@ class KeyStore:
         if not JOURNAL_MAGIC.startswith(head):
             raise CorruptJournal(f"{self.path}: bad journal header")
         if len(head) < off:  # new, or cut or zeroed before the header's fsync returned: no record yet
-
             def write_header(fh):
                 fh.truncate(len(head))
                 fh.write(JOURNAL_MAGIC[len(head):])
-
             self._durably(write_header)
         while off < size:
             end = _frame(data, off)

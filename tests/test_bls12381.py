@@ -492,10 +492,6 @@ def test_fq2_batch_inv_matches_single():
             assert all(curve.fq2_mul(x, y) == (1, 0) for x, y in zip(items, invs))
 
 
-def _jacobian_mul(pt, k):
-    return curve._ladder(curve._j_double, curve._j_add_affine, (0, 1, 0), pt, k)
-
-
 def test_j_batch_normalize_matches_plain():
     # ladder outputs, the identity among them, against g1_mul_plain and the
     # affine chord-and-tangent sum; affine points lifted to Jacobian with
@@ -504,11 +500,11 @@ def test_j_batch_normalize_matches_plain():
     rng = random.Random(16)
     r, p = curve.ORDER, curve.PRIME
     ks = [1, 2, 3, r - 1, r, r + 1] + [rng.randrange(2, r) for _ in range(4)]
-    assert curve._j_batch_normalize([_jacobian_mul(g, k) for k in ks]) == [curve.g1_mul_plain(g, k) for k in ks]
+    assert curve._j_batch_normalize([ladder_mul(g, k) for k in ks]) == [curve.g1_mul_plain(g, k) for k in ks]
     sums = [g]
     for _ in range(5):
         sums.append(curve.g1_add(sums[-1], g))
-    assert curve._j_batch_normalize([_jacobian_mul(g, k) for k in range(1, 7)]) == sums
+    assert curve._j_batch_normalize([ladder_mul(g, k) for k in range(1, 7)]) == sums
     assert curve._j_batch_normalize([(0, 1, 0)]) == [None]
     assert curve._j_batch_normalize([]) == []
     pts = [curve.g1_mul_plain(g, k) for k in (1, 5, r - 1)]

@@ -13,6 +13,7 @@ go through the CLI.
 """
 
 import dataclasses
+import functools
 import json
 import random
 import warnings
@@ -39,7 +40,7 @@ CLI_SAMPLE = 20
 SEED = 0xC0A5
 
 
-_checked = {}  # point -> reference verdict; the same points recur across cases
+_reference = functools.lru_cache(maxsize=None)(in_subgroup_by_ladder)  # the same points recur across cases
 
 
 def _elements(obj):
@@ -56,17 +57,8 @@ def _elements(obj):
 
 def _outside_subgroup(engine, obj) -> list:
     """The class names of the elements of ``obj`` that fail the reference check."""
-    outside = []
-    for e in _elements(obj):
-        if isinstance(e, _MockElement):
-            ok = 0 <= e.value < engine.order
-        else:
-            if e.pt not in _checked:
-                _checked[e.pt] = in_subgroup_by_ladder(e.pt)
-            ok = _checked[e.pt]
-        if not ok:
-            outside.append(type(e).__name__)
-    return outside
+    return [type(e).__name__ for e in _elements(obj)
+            if not (0 <= e.value < engine.order if isinstance(e, _MockElement) else _reference(e.pt))]
 
 
 def _mutants(data: bytes, rng):
@@ -129,10 +121,11 @@ def _wrong_outcomes(engine, cases, scratch):
         except Exception as exc:  # an untyped error is a finding
             wrong.append(f"{label}: {type(exc).__name__}: {exc}")
             continue
+        outside = _outside_subgroup(engine, obj)
         if again != data:
             wrong.append(f"{label}: decoded, but re-encodes to other bytes")
-        elif _outside_subgroup(engine, obj):
-            wrong.append(f"{label}: decoded {_outside_subgroup(engine, obj)} outside the prime-order subgroup")
+        elif outside:
+            wrong.append(f"{label}: decoded {outside} outside the prime-order subgroup")
     return wrong
 
 
