@@ -101,21 +101,21 @@ def _cases(backend: str):
     return out
 
 
-def _decode(engine, form, data, expect, scratch):
+def _decode(engine, form, data, expect, path):
     """(object, its re-encoding) or MalformedEnvelope/InvalidElement."""
     if form == "binary":
         obj = envelopes.from_binary(engine, data, expect)
         return obj, envelopes.to_binary(engine, obj)
-    scratch.write_bytes(data)
-    obj = envelopes.load_json(scratch, engine, expect)
+    path.write_bytes(data)
+    obj = envelopes.load_json(path, engine, expect)
     return obj, (envelopes.dump_json(envelopes.to_json_obj(engine, obj))).encode()
 
 
-def _wrong_outcomes(engine, cases, scratch):
+def _wrong_outcomes(engine, cases, path):
     wrong = []
     for label, form, data, expect in cases:
         try:
-            obj, again = _decode(engine, form, data, expect, scratch)
+            obj, again = _decode(engine, form, data, expect, path)
         except (MalformedEnvelope, InvalidElement):
             continue
         except Exception as exc:  # an untyped error is a finding
