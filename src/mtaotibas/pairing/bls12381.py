@@ -5,7 +5,8 @@ and curve arithmetic uses Jacobian coordinates. Variable-base G1 scalar
 multiplication is one kernel, g1_msm: a multi-scalar multiplication that
 splits each scalar with the GLV endomorphism phi and interleaves all
 points over one chain of doublings (Straus), each point with a table of
-i*P + j*phi(P), i, j in 0..3; g1_mul is its one-point case. One batched
+i*P + j*phi(P), i, j in 0..3; g1_mul is its one-point case, and the G1
+product a * b its two-point case with both scalars 1. One batched
 normalization, one inversion for a whole list, brings G1 tables and
 results to affine. g1_mul_plain, the reference, is a double-and-add ladder.
 
@@ -268,10 +269,6 @@ def fq12_inv(x):
     return (fq6_mul(a, d), fq6_neg(fq6_mul(b, d)))
 
 
-def fq12_pow(x, e):
-    return _pow(fq12_mul, fq12_sqr, FQ12_ONE, x, e)
-
-
 def fq12_mul_by_line(f, c0, c1):
     # f * (l + v*w) with l = c0 + c1*v, the shape of a scaled line function:
     # (a + b*w)(l + v*w) = (a*l + b*v^2) + (a*v + b*l)*w, as w^2 = v. The
@@ -351,23 +348,6 @@ def g1_neg(pt):
     if pt is None:
         return None
     return (pt[0], -pt[1] % PRIME)
-
-
-def g1_add(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % PRIME == 0:
-            return None
-        lam = 3 * x1 * x1 * pow(2 * y1, -1, PRIME) % PRIME
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, PRIME) % PRIME
-    x3 = (lam * lam - x1 - x2) % PRIME
-    return (x3, (lam * (x1 - x3) - y1) % PRIME)
 
 
 def _ladder(double, add_affine, zero, pt, k):
@@ -927,23 +907,26 @@ def encode_gt_value(f) -> bytes:
 class _Element:
     """A group element wrapping ``pt``: an affine point (None = identity)
     for G1 and G2, an Fq12 value for GT. Elements compare by their
-    canonical encoding, ``_encode``, which each group sets."""
+    canonical encoding, ``encode()``, from the ``_encode`` each group sets."""
 
     __slots__ = ("pt",)
 
     def __init__(self, pt):
         self.pt = pt
 
+    def encode(self) -> bytes:
+        return self._encode(self.pt)
+
     def __eq__(self, other):
         # verification accept/reject hinges on this comparison; keep it
         # data-independent
-        return type(other) is type(self) and hmac.compare_digest(self._encode(self.pt), other._encode(other.pt))
+        return type(other) is type(self) and hmac.compare_digest(self.encode(), other.encode())
 
     def __hash__(self):
         return hash((type(self).__name__, self.pt))
 
     def __repr__(self):
-        return f"{type(self).__name__}({self._encode(self.pt).hex()})"
+        return f"{type(self).__name__}({self.encode().hex()})"
 
 
 class G1Point(_Element):
@@ -953,7 +936,7 @@ class G1Point(_Element):
     def __mul__(self, other):
         if type(other) is not G1Point:
             return NotImplemented
-        return G1Point(g1_add(self.pt, other.pt))
+        return G1Point(g1_msm([(self.pt, 1), (other.pt, 1)]))
 
     def __pow__(self, k: int):
         return G1Point(g1_mul(self.pt, k))
@@ -1036,14 +1019,8 @@ class Bls12381Engine(PairingEngine):
     def g1_product(self, pairs) -> G1Point:
         return G1Point(g1_msm([(p.pt, k) for p, k in self._g1_terms(pairs)]))
 
-    def _encode_g1(self, e: G1Point) -> bytes:
-        return encode_g1_point(e.pt)
-
     def decode_g1(self, data: bytes) -> G1Point:
         return G1Point(decode_g1_point(data))
-
-    def _encode_g2(self, e: G2Point) -> bytes:
-        return encode_g2_point(e.pt)
 
     def decode_g2(self, data: bytes) -> G2Point:
         return G2Point(decode_g2_point(data))

@@ -20,15 +20,17 @@ class PairingEngine:
     backend, the tests' oracle, gives all three groups the full law.
 
     A subclass sets ``backend`` (named in envelopes), ``order``, the element
-    classes ``G1``/``G2``, the widths ``scalar_bytes``/``g1_bytes``, the
-    generators ``g1``/``g2`` and the identities
+    classes ``G1``/``G2``, whose elements give their canonical bytes as
+    ``encode()`` (``encode_g1``/``encode_g2`` check the type and return
+    them), the widths ``scalar_bytes``/``g1_bytes``, the generators
+    ``g1``/``g2`` and the identities
     ``identity_g1``/``identity_g2``/``identity_gt``. It provides
     ``multi_pair`` (passing its terms through ``_counted``), ``_hash_to_g1``
-    (the uncached value that ``hash_to_g1`` memoizes), ``_encode_g1``/
-    ``_encode_g2`` and ``decode_g1``/``decode_g2``, which reject all but
-    canonical encodings of subgroup elements; ``psi`` (G2 -> G1) only where
-    the backend has one; and may replace ``g1_product``'s loop of ``*`` and
-    ``**`` with a faster kernel that passes its bases through ``_g1_terms``.
+    (the uncached value that ``hash_to_g1`` memoizes) and
+    ``decode_g1``/``decode_g2``, which reject all but canonical encodings
+    of subgroup elements; ``psi`` (G2 -> G1) only where the backend has
+    one; and may replace ``g1_product``'s loop of ``*`` and ``**`` with a
+    faster kernel that passes its bases through ``_g1_terms``.
 
     An engine can be shared across threads. Its mutable state is the
     counter, which one lock guards and which adds one per pairing term, and
@@ -116,9 +118,9 @@ class PairingEngine:
     def encode_g1(self, e) -> bytes:
         if type(e) is not self.G1:
             raise InvalidElement("not a G1 element")
-        return self._encode_g1(e)
+        return e.encode()
 
     def encode_g2(self, e) -> bytes:
         if type(e) is not self.G2:
             raise InvalidElement("not a G2 element")
-        return self._encode_g2(e)
+        return e.encode()

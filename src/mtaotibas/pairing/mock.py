@@ -40,6 +40,9 @@ class _MockElement:
     def inverse(self):
         return type(self)(-self.value)
 
+    def encode(self) -> bytes:
+        return self.value.to_bytes(2, "big")
+
     def __eq__(self, other):
         return type(other) is type(self) and other.value == self.value
 
@@ -152,11 +155,6 @@ class MockEngine(PairingEngine):
         return super().hash_to_scalar(tag, data) if pinned is None else pinned
 
     # -- encodings ---------------------------------------------------------
-
-    def _encode_g1(self, e: _MockElement) -> bytes:
-        return e.value.to_bytes(2, "big")
-
-    _encode_g2 = _encode_g1
 
     def _decode_value(self, data: bytes) -> int:
         if len(data) != 2:

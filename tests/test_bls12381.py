@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import os
 import random
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,36 @@ from mtaotibas.pairing import bls12381 as curve
 from mtaotibas.pairing import get_engine
 
 from conftest import in_subgroup_by_ladder, ladder_mul, off_subgroup_g1_point, off_subgroup_g2_point
+from test_bench_contract import _bls_names_read, _perfbench_trees
+
+
+def _g1_add(p1, p2):
+    # the affine chord-and-tangent law, one inversion per sum: the reference
+    # for the Jacobian formulas of g1_msm and the G1 product a * b
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    (x1, y1), (x2, y2), p = p1, p2, curve.PRIME
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = 3 * x1 * x1 * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return (x3, (lam * (x1 - x3) - y1) % p)
+
+
+def _fq12_pow(x, e):
+    # plain square-and-multiply from one: the reference for the Frobenius,
+    # the final exponentiation and the pairing's bilinearity
+    out = curve.FQ12_ONE
+    for bit in bin(e)[2:]:
+        out = curve.fq12_sqr(out)
+        if bit == "1":
+            out = curve.fq12_mul(out, x)
+    return out
 
 
 def _bilinearity_worker(args):
@@ -22,7 +54,7 @@ def _bilinearity_worker(args):
         rng = random.Random(0xB111 + t)
         a = rng.randrange(1, e.order)
         b = rng.randrange(1, e.order)
-        if e.pair(e.g1 ** a, e.g2 ** b).pt != curve.fq12_pow(base, a * b % e.order):
+        if e.pair(e.g1 ** a, e.g2 ** b).pt != _fq12_pow(base, a * b % e.order):
             return t
     return -1
 
@@ -45,7 +77,7 @@ def test_final_exponentiation_identity():
         [(curve.g1_mul((curve._G1X, curve._G1Y), rng.randrange(1, r)),
           curve.g2_mul((curve._G2X, curve._G2Y), rng.randrange(1, r)))]
     )
-    assert curve.final_exponentiation(f) == curve.fq12_pow(f, 3 * ((p**12 - 1) // r))
+    assert curve.final_exponentiation(f) == _fq12_pow(f, 3 * ((p**12 - 1) // r))
 
 
 def test_bilinearity_sampled(bls_engine):
@@ -56,7 +88,7 @@ def test_bilinearity_sampled(bls_engine):
     for _ in range(10):
         a = rng.randrange(1, e.order)
         b = rng.randrange(1, e.order)
-        assert e.pair(e.g1 ** a, e.g2 ** b).pt == curve.fq12_pow(base.pt, a * b % e.order)
+        assert e.pair(e.g1 ** a, e.g2 ** b).pt == _fq12_pow(base.pt, a * b % e.order)
 
 
 def test_bilinearity_1000_random_pairs():
@@ -382,7 +414,7 @@ def _random_curve_point(rng, group):
 
 def _add(p1, p2):
     if type(p1[0]) is int:
-        return curve.g1_add(p1, p2)
+        return _g1_add(p1, p2)
     return _to_affine(curve._j2_add_affine(*p1, curve._FQ2_ONE, *p2))
 
 
@@ -423,9 +455,9 @@ def test_small_powers():
     rng = random.Random(9)
     x = tuple(tuple((rng.randrange(curve.PRIME), rng.randrange(curve.PRIME)) for _ in range(3))
               for _ in range(2))
-    assert curve.fq12_pow(x, 0) == curve.FQ12_ONE
-    assert curve.fq12_pow(x, 1) == x
-    assert curve.fq12_pow(x, 2) == curve.fq12_mul(x, x)
+    assert _fq12_pow(x, 0) == curve.FQ12_ONE
+    assert _fq12_pow(x, 1) == x
+    assert _fq12_pow(x, 2) == curve.fq12_mul(x, x)
     y = (rng.randrange(1, curve.PRIME), rng.randrange(curve.PRIME))
     assert curve.fq2_pow(y, 0) == (1, 0)
     assert curve.fq2_pow(y, 1) == y
@@ -503,7 +535,7 @@ def test_j_batch_normalize_matches_plain():
     assert curve._j_batch_normalize([ladder_mul(g, k) for k in ks]) == [curve.g1_mul_plain(g, k) for k in ks]
     sums = [g]
     for _ in range(5):
-        sums.append(curve.g1_add(sums[-1], g))
+        sums.append(_g1_add(sums[-1], g))
     assert curve._j_batch_normalize([ladder_mul(g, k) for k in range(1, 7)]) == sums
     assert curve._j_batch_normalize([(0, 1, 0)]) == [None]
     assert curve._j_batch_normalize([]) == []
@@ -520,7 +552,7 @@ def test_fq12_inverse_and_frobenius():
         if x != _FQ12_ZERO:
             assert curve.fq12_mul(x, curve.fq12_inv(x)) == curve.FQ12_ONE, x
     for x in samples[:4]:
-        assert curve.fq12_frob(x) == curve.fq12_pow(x, curve.PRIME), x
+        assert curve.fq12_frob(x) == _fq12_pow(x, curve.PRIME), x
 
 
 def test_g1_mul_plain_rejects_negative_scalar():
@@ -534,7 +566,7 @@ def test_g1_mul_plain_rejects_negative_scalar():
 def _plain_sum(pairs):
     acc = None
     for pt, k in pairs:
-        acc = curve.g1_add(acc, curve.g1_mul_plain(pt, k % curve.ORDER))
+        acc = _g1_add(acc, curve.g1_mul_plain(pt, k % curve.ORDER))
     return acc
 
 
@@ -566,6 +598,24 @@ def test_msm_matches_plain():
     assert curve.g1_msm(cases[6]) is None
 
 
+def test_g1_product_operator_matches_affine_law(bls_engine):
+    # a * b runs through g1_msm with both scalars 1: random points, a point
+    # times itself (the doubling), times its inverse (the identity), the
+    # identity on either side, and a three-factor product
+    e = bls_engine
+    rng = random.Random(23)
+    pts = [e.g1 ** rng.randrange(1, e.order) for _ in range(6)] + [e.g1]
+    pairs = list(zip(pts, pts[1:])) + [(a, a) for a in pts[:3]] + [(a, a.inverse()) for a in pts[:3]]
+    pairs += [(a, e.identity_g1) for a in pts[:2]] + [(e.identity_g1, a) for a in pts[:2]]
+    pairs.append((e.identity_g1, e.identity_g1))
+    for a, b in pairs:
+        assert (a * b).pt == _g1_add(a.pt, b.pt), (a, b)
+    assert pts[0] * pts[0].inverse() == e.identity_g1
+    a, b, c = pts[:3]
+    assert (a * b * c).pt == _g1_add(_g1_add(a.pt, b.pt), c.pt)
+    assert a * b * c == e.g1_product([(a, 1), (b, 1), (c, 1)]) == a * (b * c)
+
+
 def test_group_axioms(bls_engine):
     e = bls_engine
     x = e.g1 ** 12345
@@ -574,7 +624,7 @@ def test_group_axioms(bls_engine):
     assert e.g2 ** e.order == e.identity_g2
     gt = e.pair(e.g1, e.g2).pt
     assert curve.fq12_mul(gt, curve.fq12_conj(gt)) == curve.FQ12_ONE
-    assert curve.fq12_pow(gt, e.order) == curve.FQ12_ONE
+    assert _fq12_pow(gt, e.order) == curve.FQ12_ONE
 
 
 def test_psi_unsupported(bls_engine):
@@ -725,3 +775,81 @@ def test_fq2_sqrt_round_trip():
         assert curve.fq2_sqr(root) == square
         found += 1
     assert found == 20
+
+
+def _decode_cases(rng, group):
+    # seeded compressed strings: subgroup points with either sign bit, the
+    # fixture's point outside the subgroup, random x below p with either sign
+    # bit (off the curve, or on it and almost surely outside the subgroup),
+    # and one coordinate at p or above
+    p, n = curve.PRIME, 1 if group == "g1" else 2
+    gen = (curve._G1X, curve._G1Y) if group == "g1" else (curve._G2X, curve._G2Y)
+    mul = curve.g1_mul if group == "g1" else curve.g2_mul
+    encode = curve.encode_g1_point if group == "g1" else curve.encode_g2_point
+    off = off_subgroup_g1_point() if group == "g1" else off_subgroup_g2_point()
+    cases = [encode(mul(gen, rng.randrange(1, curve.ORDER))) for _ in range(6)]
+    cases += [bytes([data[0] ^ 0x20]) + data[1:] for data in cases[:3]] + [encode(off)]
+    cases += [_framed(rng.choice((0x80, 0xA0)), [rng.randrange(p) for _ in range(n)]) for _ in range(24)]
+    for _ in range(6):
+        coords = [rng.randrange(p) for _ in range(n)]
+        coords[rng.randrange(n)] = rng.choice([p, rng.randrange(p, 1 << 381)])
+        cases.append(_framed(rng.choice((0x80, 0xA0)), coords))
+    return cases
+
+
+def _outcome(decode, encode, data):
+    try:
+        return "ok " + encode(decode(data)).hex()
+    except InvalidElement as exc:
+        return f"error {exc}"
+
+
+def test_hash_and_decode_outcomes_pinned():
+    # hash-to-G1 outputs, Fq2 square roots and decode outcomes (the encoding
+    # or the error), hashed: a rewrite of the square roots or the decoders
+    # must reproduce every one of them exactly
+    rng = random.Random(24)
+    p = curve.PRIME
+    lines = []
+    for _ in range(64):
+        tag = rng.choice([b"T", b"mtaotibas-H0", bytes(rng.randrange(256) for _ in range(rng.randrange(1, 9)))])
+        data = bytes(rng.randrange(256) for _ in range(rng.randrange(40)))
+        lines.append(f"hash {tag.hex()} {data.hex()} {curve.encode_g1_point(curve.hash_to_g1_point(tag, data)).hex()}")
+    roots = [(rng.randrange(p), rng.randrange(p)) for _ in range(24)]
+    roots += [curve.fq2_sqr((rng.randrange(p), rng.randrange(p))) for _ in range(8)]
+    roots += [(rng.randrange(p), 0) for _ in range(4)] + [(0, rng.randrange(p)) for _ in range(4)]
+    roots += [(0, 0), (1, 0), (p - 1, 0), (0, 1), (0, p - 1)]
+    found = {None: 0, "root": 0}
+    for t in roots:
+        root = curve._fq2_sqrt(t)
+        found["root" if root else None] += 1
+        lines.append(f"sqrt {t} {root}")
+    assert min(found.values()) >= 8, found
+    for group in ("g1", "g2"):
+        decode, encode = getattr(curve, f"decode_{group}_point"), getattr(curve, f"encode_{group}_point")
+        outcomes = [_outcome(decode, encode, data) for data in _decode_cases(rng, group)]
+        kinds = {"ok" if o.startswith("ok") else o.split(" ", 2)[2] for o in outcomes}
+        assert kinds == {"ok", "x coordinate out of range", "x coordinate not on the curve",
+                         "point outside the prime-order subgroup"}, kinds
+        lines += [f"{group} {o}" for o in outcomes]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1c0ebfef2d5aad77dea9499c11bab0205c91323a48803ce89dee4a85224d7f71"
+
+
+def test_every_module_function_has_a_program_caller():
+    # a module-level def of the BLS12-381 module that only tests call belongs
+    # in the tests: each must be named in src/ outside its own body, or be
+    # read by the benchmark as bls.<name>
+    src = Path(curve.__file__).resolve().parents[1]
+    named = set()
+    for path in src.rglob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = node.name if isinstance(node, ast.FunctionDef) else None
+            named |= {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                      if isinstance(sub, (ast.Name, ast.Attribute))} - {own}
+    for _, tree in _perfbench_trees():
+        named |= _bls_names_read(tree)
+    tree = ast.parse(Path(curve.__file__).read_text(encoding="utf-8"))
+    defs = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert "g1_msm" in defs and "_fq2_sqrt" in defs
+    assert [name for name in defs if name not in named] == []

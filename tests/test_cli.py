@@ -15,6 +15,7 @@ import mtaotibas
 from mtaotibas import scheme
 from mtaotibas.cli import main
 from mtaotibas.errors import InvalidElement, KeyAlreadyUsed
+from mtaotibas.pairing import get_engine
 
 from conftest import CLI_LAYOUT
 from conftest import CLI_MOCK_ARGS as MOCK
@@ -106,6 +107,37 @@ def test_verify_undecodable_bundle_exits_2(workdir):
     Path("bundle.json").write_text(json.dumps(doc))
     result = run(runner, MOCK + ["verify", "--params", "params.json", "--bundle", "bundle.json"])
     assert result.exit_code == 2
+
+
+def test_production_lifecycle_exit_codes(workdir):
+    # the pinned lifecycle on the production backend: verify exits 0 with
+    # l + 1 = 3 main and 2l = 4 certificate pairings; an aggregate or a
+    # certificate moved by g1 still decodes, and exits 1 naming the failed check
+    runner = CliRunner()
+    for name, args in cli_lifecycle_steps():
+        assert args[:len(MOCK)] == MOCK
+        result = run(runner, args[len(MOCK):])
+        assert result.exit_code == 0, f"{name}: {result.output}"
+    assert json.loads(result.output) == {"valid": True, "reason": "", "pairings_main": 3,
+                                         "pairings_certificates": 4}
+    engine = get_engine("production")
+    honest = Path("bundle.json").read_text()
+
+    def moved(point):
+        return (engine.decode_g1(bytes.fromhex(point)) * engine.g1).encode().hex()
+
+    for slot, reason in ((("omega",), "aggregate equation failed"),
+                         (("groups", 0, "ta_record", "cert"), "certificate check failed")):
+        doc = json.loads(honest)
+        *path, last = slot
+        node = doc["fields"]
+        for key in path:
+            node = node[key]
+        node[last] = moved(node[last])
+        Path("bundle.json").write_text(json.dumps(doc))
+        result = run(runner, ["verify", "--params", "params.json", "--bundle", "bundle.json"])
+        assert result.exit_code == 1, f"{slot}: {result.output}"
+        assert json.loads(result.output)["reason"] == reason
 
 
 def test_extract_writes_no_key_file(workdir):
