@@ -985,11 +985,16 @@ class Bls12381Engine(PairingEngine):
         self._lines_lock = threading.Lock()
 
     # pair, multi_pair, hash_to_g1 and the decoders stay in this class body,
-    # pair and hash_to_g1 bound from the base: the benchmark's tracer wraps
-    # them here by name. The base memoizes the uncached _hash_to_g1.
+    # all but multi_pair bound from the base: the benchmark's tracer wraps
+    # them here by name. The base memoizes the uncached _hash_to_g1,
+    # _decode_g1 and _decode_g2.
     pair = PairingEngine.pair
     hash_to_g1 = PairingEngine.hash_to_g1
+    decode_g1 = PairingEngine.decode_g1
+    decode_g2 = PairingEngine.decode_g2
     _hash_to_g1 = staticmethod(hash_to_g1_point)
+    _decode_g1 = staticmethod(decode_g1_point)
+    _decode_g2 = staticmethod(decode_g2_point)
 
     def multi_pair(self, terms) -> GTElement:
         pairs = [(p.pt, r.pt) for p, r in self._counted(terms)]
@@ -1018,9 +1023,3 @@ class Bls12381Engine(PairingEngine):
 
     def g1_product(self, pairs) -> G1Point:
         return G1Point(g1_msm([(p.pt, k) for p, k in self._g1_terms(pairs)]))
-
-    def decode_g1(self, data: bytes) -> G1Point:
-        return G1Point(decode_g1_point(data))
-
-    def decode_g2(self, data: bytes) -> G2Point:
-        return G2Point(decode_g2_point(data))

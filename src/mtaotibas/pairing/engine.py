@@ -7,6 +7,9 @@ from functools import lru_cache
 from ..encoding import hash_to_int_wide
 from ..errors import EmptyInput, InvalidElement, UnsupportedOperation
 
+# distinct valid encodings whose decoded point an engine keeps, per group
+_DECODE_MEMO_SIZE = 256
+
 
 class PairingEngine:
     """A Type-3 pairing e: G1 x G2 -> GT on groups of prime order ``order``,
@@ -27,24 +30,31 @@ class PairingEngine:
     ``identity_g1``/``identity_g2``/``identity_gt``. It provides
     ``multi_pair`` (passing its terms through ``_counted``), ``_hash_to_g1``
     (the uncached value that ``hash_to_g1`` memoizes) and
-    ``decode_g1``/``decode_g2``, which reject all but canonical encodings
+    ``_decode_g1``/``_decode_g2`` (the uncached decoders that
+    ``decode_g1``/``decode_g2`` memoize), which return the value an element
+    class wraps and raise InvalidElement for all but canonical encodings
     of subgroup elements; ``psi`` (G2 -> G1) only where the backend has
     one; and may replace ``g1_product``'s loop of ``*`` and ``**`` with a
     faster kernel that passes its bases through ``_g1_terms``.
 
     An engine can be shared across threads. Its mutable state is the
     counter, which one lock guards and which adds one per pairing term, and
-    caches of pure functions: in both backends the hash-to-G1 memo
+    caches of pure functions: in both backends the hash-to-G1 memo and
+    one decode memo per group of ``_DECODE_MEMO_SIZE`` encodings
     (``functools.lru_cache``, thread-safe itself; a mock's pinned table is
     fixed per engine), and in production only the Miller lines of recent G2
     arguments, whose bookkeeping a second lock guards. No cache changes a
-    result.
+    result. A decode memo keys on the exact bytes and holds only encodings
+    that passed every check; a rejected one is never cached, so it runs
+    the whole decoder again on every call.
     """
 
     def __init__(self):
         self._pairing_count = 0
         self._count_lock = threading.Lock()
         self._hash_g1 = lru_cache(maxsize=8192)(self._hash_to_g1)
+        self._decoded_g1 = lru_cache(maxsize=_DECODE_MEMO_SIZE)(self._decode_g1)
+        self._decoded_g2 = lru_cache(maxsize=_DECODE_MEMO_SIZE)(self._decode_g2)
 
     @property
     def pairing_count(self) -> int:
@@ -114,6 +124,14 @@ class PairingEngine:
         if k >= self.order:
             raise InvalidElement(f"scalar {k} out of range")
         return k
+
+    def decode_g1(self, data: bytes):
+        """The G1 element ``data`` encodes, memoized; InvalidElement is never cached."""
+        return self.G1(self._decoded_g1(bytes(data)))
+
+    def decode_g2(self, data: bytes):
+        """The G2 element ``data`` encodes, memoized; InvalidElement is never cached."""
+        return self.G2(self._decoded_g2(bytes(data)))
 
     def encode_g1(self, e) -> bytes:
         if type(e) is not self.G1:

@@ -164,11 +164,7 @@ class MockEngine(PairingEngine):
             raise InvalidElement(f"value {v} outside Z_{self.order}")
         return v
 
-    def decode_g1(self, data: bytes) -> MockG1:
-        return MockG1(self._decode_value(data))
-
-    def decode_g2(self, data: bytes) -> MockG2:
-        return MockG2(self._decode_value(data))
+    _decode_g1 = _decode_g2 = _decode_value
 
     # -- test-oracle helpers -------------------------------------------------
 

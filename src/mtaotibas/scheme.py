@@ -100,7 +100,12 @@ class TARecord:
         )
 
     def fingerprint(self, engine) -> bytes:
-        return hashlib.sha256(b"MTAO-TA" + self.cert_bytes(engine)).digest()
+        return _fingerprint(self.cert_bytes(engine))
+
+
+def _fingerprint(cert_b: bytes) -> bytes:
+    """The authority fingerprint a signer key carries, from the record's cert_bytes."""
+    return hashlib.sha256(b"MTAO-TA" + cert_b).digest()
 
 
 def cert_payload(engine, ta_identity: bytes, y_i) -> bytes:
@@ -220,10 +225,12 @@ def signature_hash(engine, message: bytes, signer_id: bytes, ta: TARecord) -> in
 
 def sign(engine, key: SignerKey, ta: TARecord, message: bytes) -> Signature:
     """Raw signing: sigma = s0 * s1^h. Deterministic and stateless; the
-    one-time discipline lives in the key store wrapper."""
-    if key.ta_fingerprint != ta.fingerprint(engine):
+    one-time discipline lives in the key store wrapper. The record is
+    encoded once, for the fingerprint check and for H1."""
+    cert_b = ta.cert_bytes(engine)
+    if key.ta_fingerprint != _fingerprint(cert_b):
         raise KeyMismatch("key was not issued under this authority record")
-    h = signature_hash(engine, message, key.signer_id, ta)
+    h = engine_hashes(engine).message_scalar(bytes(message), bytes(key.signer_id), cert_b)
     return Signature(sigma=engine.g1_product([(key.s0, 1), (key.s1, h)]))
 
 

@@ -115,6 +115,26 @@ def test_traced_hash_to_g1_counts_memo_hits():
     assert vars(engine_class)["hash_to_g1"] is original
 
 
+def test_traced_decode_counts_memo_hits():
+    # the benchmark reads pairing.decode_g1_calls/decode_g2_calls from the
+    # traced methods; a memo hit must still count as a call, while the raw
+    # decoder runs once per encoding
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    engine = bls12381.Bls12381Engine()
+    encodings = {"g1": engine.encode_g1(engine.g1 ** 5), "g2": engine.encode_g2(engine.g2 ** 7)}
+    try:
+        tracing.install_layers(tracer, bls12381, envelopes, scheme, keystore)
+        for group, data in encodings.items():
+            decode = getattr(engine, f"decode_{group}")
+            assert decode(data) == decode(bytearray(data))
+            assert tracer.calls[f"pairing.decode_{group}"] == 2
+            info = getattr(engine, f"_decoded_{group}").cache_info()
+            assert (info.hits, info.misses) == (1, 1)
+    finally:
+        tracer.uninstall()
+
+
 def _module_path(node):
     """(module name, attribute path) of ``scheme.a.b`` or ``self.scheme.a.b``;
     None for any other expression."""

@@ -1,13 +1,15 @@
 """The engine contract both backends share: term and element type checks,
-products of powers in G1, the scalar codec's range and length checks, and
-the domain-tag check."""
+products of powers in G1, the scalar codec's range and length checks, the
+domain-tag check, and the hash and decode memos."""
 
 import random
 
 import pytest
 
 from mtaotibas.errors import EmptyInput, InvalidElement
-from mtaotibas.pairing import MockEngine, get_engine
+from mtaotibas.pairing import MockEngine, bls12381, engine as engine_module, get_engine
+
+from conftest import off_subgroup_g1_point, off_subgroup_g2_point
 
 
 @pytest.fixture(params=["mock", "production"])
@@ -104,13 +106,14 @@ def test_hashes_reject_empty_tag(engine):
             engine.hash_to_scalar(b"", b"x")
 
 
-def _counting_engine(engine):
+def _counting_engine(engine, raw_name="_hash_to_g1"):
     """A new engine of ``engine``'s backend and the list of inputs its uncached
-    ``_hash_to_g1`` ran on. The memo binds ``_hash_to_g1`` when the engine is
-    built, so the wrapper goes on the instance before ``__init__``."""
+    ``raw_name`` (``_hash_to_g1``, ``_decode_g1`` or ``_decode_g2``) ran on.
+    The memo binds the raw function when the engine is built, so the wrapper
+    goes on the instance before ``__init__``."""
     fresh = object.__new__(type(engine))
-    raw, runs = fresh._hash_to_g1, []
-    fresh._hash_to_g1 = lambda tag, data: runs.append((tag, data)) or raw(tag, data)
+    raw, runs = getattr(fresh, raw_name), []
+    setattr(fresh, raw_name, lambda *args: runs.append(args) or raw(*args))
     fresh.__init__()
     return fresh, runs
 
@@ -125,3 +128,72 @@ def test_hash_to_g1_memo_runs_the_raw_hash_once_per_input(engine):
     fresh.hash_to_g1(b"U", b"x")
     fresh.hash_to_g1(b"T", b"y")
     assert runs == [(b"T", b"x"), (b"U", b"x"), (b"T", b"y")]
+
+
+@pytest.fixture(params=["g1", "g2"])
+def group(request):
+    return request.param
+
+
+def _subgroup_elements(engine, group):
+    gen, identity = getattr(engine, group), getattr(engine, f"identity_{group}")
+    rng = random.Random(20)
+    return [identity, gen] + [gen ** rng.randrange(2, engine.order) for _ in range(3)]
+
+
+def test_decode_memo_runs_the_raw_decoder_once_per_encoding(engine, group):
+    fresh, runs = _counting_engine(engine, f"_decode_{group}")
+    decode, raw = getattr(fresh, f"decode_{group}"), getattr(engine, f"_decode_{group}")
+    element_class = getattr(fresh, group.upper())
+    elements = _subgroup_elements(engine, group)
+    encodings = [getattr(fresh, f"encode_{group}")(e) for e in elements]
+    for data, expected in zip(encodings, elements):
+        uncached = element_class(raw(data))
+        for spelling in (data, bytearray(data), memoryview(data), data):
+            got = decode(spelling)
+            assert type(got) is element_class and got == expected == uncached
+    assert runs == [(data,) for data in encodings]
+    info = getattr(fresh, f"_decoded_{group}").cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3 * len(encodings), len(encodings), len(encodings))
+
+
+def _rejected_encodings(engine, group):
+    """Encodings the decoder must refuse: for the mock a wrong length or a
+    value outside Z_q; for BLS12-381 a wrong length, a clear compression
+    flag, x >= p, an x off the curve and a curve point outside the subgroup."""
+    if engine.backend == "mock":
+        return [b"", b"\x00", bytes(3), engine.order.to_bytes(2, "big"), b"\xff\xff"]
+    width = 48 if group == "g1" else 96
+    codec = bls12381._G1_CODEC if group == "g1" else bls12381._G2_CODEC
+    good = getattr(engine, f"encode_{group}")(getattr(engine, group))
+    cleared = bytes([good[0] & 0x7F]) + good[1:]
+    x_at_p = bytearray(bls12381.PRIME.to_bytes(48, "big") + bytes(width - 48))
+    x_at_p[0] |= 0x80
+    k = 1
+    while codec.y_from_x(k if group == "g1" else (k, 0)) is not None:
+        k += 1
+    off_curve = bytes([0x80]) + k.to_bytes(width - 1, "big")
+    off_subgroup = codec.encode(off_subgroup_g1_point() if group == "g1" else off_subgroup_g2_point())
+    return [good[:-1], good + b"\x00", cleared, bytes(x_at_p), off_curve, off_subgroup]
+
+
+def test_decode_memo_never_caches_a_reject(engine, group):
+    fresh, runs = _counting_engine(engine, f"_decode_{group}")
+    decode = getattr(fresh, f"decode_{group}")
+    for data in _rejected_encodings(fresh, group):
+        for n in range(1, 4):
+            with pytest.raises(InvalidElement):
+                decode(data if n != 2 else bytearray(data))
+            assert runs[-n:] == [(data,)] * n
+    assert getattr(fresh, f"_decoded_{group}").cache_info().currsize == 0
+
+
+def test_decode_memo_stays_within_its_fixed_size(engine, group):
+    size = engine_module._DECODE_MEMO_SIZE
+    fresh = type(engine)()
+    gen, memo = getattr(fresh, group), getattr(fresh, f"_decoded_{group}")
+    decode, encode = getattr(fresh, f"decode_{group}"), getattr(fresh, f"encode_{group}")
+    for k in range(1, size + 41):
+        assert decode(encode(gen ** k)) == gen ** k
+        assert memo.cache_info().currsize == min(k, size)
+    assert memo.cache_info().maxsize == size
