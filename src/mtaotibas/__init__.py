@@ -7,42 +7,3 @@ with a number of pairings proportional to the number of authorities, not
 signers. The package also ships a security harness that runs the scheme's
 unforgeability game and reduction machinery at desk scale.
 """
-
-from .pairing import get_engine
-from .scheme import (
-    AggregateBundle,
-    MasterSecret,
-    Signature,
-    SignerKey,
-    SystemParams,
-    TARecord,
-    TASecret,
-    aggregate,
-    extract,
-    lowerlevel_setup,
-    root_setup,
-    sign,
-    verify,
-    verify_certificate,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "get_engine",
-    "SystemParams",
-    "MasterSecret",
-    "TASecret",
-    "TARecord",
-    "SignerKey",
-    "Signature",
-    "AggregateBundle",
-    "root_setup",
-    "lowerlevel_setup",
-    "verify_certificate",
-    "extract",
-    "sign",
-    "aggregate",
-    "verify",
-    "__version__",
-]

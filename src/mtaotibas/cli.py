@@ -18,7 +18,7 @@ import click
 
 from . import envelopes, keystore, scheme
 from .errors import KeyAlreadyUsed, MtaError
-from .pairing import get_engine, load_vector_table
+from .pairing import BACKENDS, get_engine
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -65,7 +65,7 @@ class _ErrorBoundary(click.Group):
 
 
 @click.group(cls=_ErrorBoundary)
-@click.option("--backend", type=click.Choice(["production", "mock"]), default="production",
+@click.option("--backend", type=click.Choice(BACKENDS), default="production",
               show_default=True, help="Pairing engine to operate on.")
 @click.option("--insecure-mock", is_flag=True,
               help="Acknowledge that the mock backend offers no security.")
@@ -80,7 +80,11 @@ def main(ctx, backend, insecure_mock, seed, mock_table):
         raise click.UsageError("the mock backend is insecure; pass --insecure-mock to use it")
     if backend != "mock" and mock_table is not None:
         raise click.UsageError("--mock-table only applies to the mock backend")
-    table = load_vector_table(mock_table) if mock_table else None
+    table = None
+    if mock_table is not None:
+        from .pairing.mock import load_vector_table
+
+        table = load_vector_table(mock_table)
     ctx.obj = CommandContext(backend=backend, seed=seed,
                              engine=get_engine(backend, mock_table=table))
 
@@ -336,12 +340,11 @@ def cmd_bound_check(qc, qe, qs, n, grid):
 @click.option("--qs", type=_COUNT, default=5, show_default=True)
 @click.option("--trials", type=_POSITIVE, default=100_000, show_default=True)
 @click.option("--seed", "mc_seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=_POSITIVE, default=None)
-def cmd_monte_carlo(delta, qc, qe, qs, trials, mc_seed, jobs):
+def cmd_monte_carlo(delta, qc, qe, qs, trials, mc_seed):
     """Estimate the no-abort probability for the standard workload."""
     from .harness import monte_carlo_abort
 
-    rep = monte_carlo_abort(delta, qc, qe, qs, trials=trials, seed=mc_seed, jobs=jobs)
+    rep = monte_carlo_abort(delta, qc, qe, qs, trials=trials, seed=mc_seed)
     emit(rep)
     if not rep["passes"]:
         sys.exit(EXIT_INVALID)

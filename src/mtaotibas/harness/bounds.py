@@ -19,7 +19,6 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import Optional
 
 from ..pairing import get_engine
 from .challenger import Challenger, CoCDHInstance
@@ -79,13 +78,13 @@ def _mc_worker(args) -> int:
 
 
 def monte_carlo_abort(delta: float, q_c: int, q_e: int, q_s: int,
-                      trials: int = 100_000, seed: int = 0,
-                      jobs: Optional[int] = None) -> dict:
+                      trials: int = 100_000, seed: int = 0) -> dict:
     """Empirical Pr[no abort] for the standard workload, with a 99%
     normal-approximation confidence interval and the claimed lower bound
-    (1-delta)^(q_C+q_E+q_S)."""
+    (1-delta)^(q_C+q_E+q_S). Each trial seeds its own rng from (seed, t),
+    so how the trials split into chunks cannot change the estimate."""
     ops = abort_workload(q_c, q_e, q_s)
-    jobs = jobs or min(8, os.cpu_count() or 1)
+    jobs = min(8, os.cpu_count() or 1)
     chunk = (trials + jobs - 1) // jobs
     ranges = [(delta, ops, seed, lo, min(lo + chunk, trials))
               for lo in range(0, trials, chunk)]

@@ -22,6 +22,7 @@ from .challenger import Challenger
 
 _BACKGROUND_SIGNERS = 2  # unplanted signers beside the target
 _BACKGROUND_TAS = 1  # authorities beside the target's
+_MAX_ATTEMPTS = 256  # draws per coin hunt before giving up
 
 
 @dataclass
@@ -33,19 +34,18 @@ class Forgery:
     resamples: Dict[str, int]
 
 
-def _sample(ch: Challenger, label: str, attempts: int, fresh, want) -> object:
-    for k in range(attempts):
+def _sample(ch: Challenger, label: str, fresh, want) -> object:
+    for k in range(_MAX_ATTEMPTS):
         value = fresh(k)
         if want(value):
             return value, k + 1
     raise GiveUp(
-        f"no {label} with the required coin after {attempts} attempts "
+        f"no {label} with the required coin after {_MAX_ATTEMPTS} attempts "
         f"(per-attempt success probability depends on delta={ch.delta})"
     )
 
 
-def scripted_forger(ch: Challenger, rng: Optional[random.Random] = None,
-                    max_attempts: int = 256) -> Forgery:
+def scripted_forger(ch: Challenger, rng: Optional[random.Random] = None) -> Forgery:
     """Drive the challenger's oracles until the coin pattern occurs, then
     assemble a verifying aggregate forgery from mock discrete logs."""
     engine = ch.engine
@@ -60,7 +60,7 @@ def scripted_forger(ch: Challenger, rng: Optional[random.Random] = None,
         ch.oracle_lowerlevel_setup(name)
         return name
 
-    target_ta, n = _sample(ch, "planted authority", max_attempts, fresh_ta,
+    target_ta, n = _sample(ch, "planted authority", fresh_ta,
                            lambda name: ch.ta_list[name].coin == 1)
     resamples["authority"] = n
 
@@ -69,7 +69,7 @@ def scripted_forger(ch: Challenger, rng: Optional[random.Random] = None,
         ch.oracle_h0(name, 0)
         return name
 
-    target_id, n = _sample(ch, "planted identity", max_attempts, fresh_id,
+    target_id, n = _sample(ch, "planted identity", fresh_id,
                            lambda name: ch.h0_list[name].coin == 1)
     resamples["identity"] = n
 
@@ -81,14 +81,14 @@ def scripted_forger(ch: Challenger, rng: Optional[random.Random] = None,
         ch.oracle_h1(target_id, m, cert_b)
         return m
 
-    target_msg, n = _sample(ch, "unprogrammed message hash", max_attempts, fresh_msg,
+    target_msg, n = _sample(ch, "unprogrammed message hash", fresh_msg,
                             lambda m: ch.h1_list[(target_id, m, cert_b)].coin_prime == 0)
     resamples["message"] = n
 
     # background signers: unplanted identities spread over the target
     # authority and the extra ones (their coins are unconstrained)
     background = []
-    attempts_left = max_attempts * _BACKGROUND_SIGNERS
+    attempts_left = _MAX_ATTEMPTS * _BACKGROUND_SIGNERS
     extra_names = []
     for j in range(_BACKGROUND_TAS):
         name = f"forge-bgta-{tag}-{j}".encode()

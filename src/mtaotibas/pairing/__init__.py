@@ -1,17 +1,17 @@
 """Pairing engines: the algebraic substrate for the signature scheme.
 
-Both backends subclass ``engine.PairingEngine``, which states the contract:
+Both backends subclass ``engine.PairingEngine``, which states the contract.
+``get_engine`` imports a backend's module only when that backend is asked
+for, so a production process never loads the mock:
 
-* ``production`` -- BLS12-381, a Type-3 curve at the 128-bit level. No
-  G2->G1 isomorphism is exposed.
-* ``mock`` -- integers mod 1009 with readable discrete logs; the test
-  oracle. Requires explicit opt-in everywhere it can leak out (it offers no
-  security whatsoever).
+* ``production`` -- BLS12-381 (``bls12381.Bls12381Engine``), a Type-3 curve
+  at the 128-bit level. No G2->G1 isomorphism is exposed.
+* ``mock`` -- integers mod 1009 with readable discrete logs
+  (``mock.MockEngine``); the test oracle. Requires explicit opt-in
+  everywhere it can leak out (it offers no security whatsoever).
 """
 
 from typing import Optional
-
-from .mock import MOCK_MODULUS, MockEngine, load_vector_table
 
 BACKENDS = ("production", "mock")
 
@@ -26,6 +26,8 @@ def get_engine(backend: str, mock_table: Optional[dict] = None):
     tests can pin independent hash tables.
     """
     if backend == "mock":
+        from .mock import MockEngine
+
         return MockEngine(table=mock_table)
     if backend == "production":
         if mock_table is not None:
@@ -37,12 +39,3 @@ def get_engine(backend: str, mock_table: Optional[dict] = None):
             _production_singleton = Bls12381Engine()
         return _production_singleton
     raise ValueError(f"unknown backend {backend!r} (expected one of {BACKENDS})")
-
-
-__all__ = [
-    "BACKENDS",
-    "MOCK_MODULUS",
-    "MockEngine",
-    "get_engine",
-    "load_vector_table",
-]

@@ -4,7 +4,8 @@ import pytest
 
 from mtaotibas.encoding import length_prefixed
 from mtaotibas import scheme
-from mtaotibas.pairing import MockEngine, bls12381, get_engine
+from mtaotibas.pairing import bls12381, get_engine
+from mtaotibas.pairing.mock import MockEngine
 from mtaotibas.scheme import DOMAIN_CERT, DOMAIN_H0, DOMAIN_H1
 
 # The pinned mock scenario: three signers across two authorities with

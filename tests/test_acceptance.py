@@ -331,7 +331,7 @@ def test_criterion_7_bound_grid():
 def test_criterion_8_monte_carlo():
     details = []
     for delta in (0.05, 0.1, 0.2):
-        report = monte_carlo_abort(delta, 5, 5, 5, trials=100_000, seed=0xAB, jobs=JOBS)
+        report = monte_carlo_abort(delta, 5, 5, 5, trials=100_000, seed=0xAB)
         assert report["passes"], report
         assert report["estimate"] >= report["bound"] - report["ci99_half_width"]
         details.append(f"delta={delta}: {report['estimate']:.4f} >= "

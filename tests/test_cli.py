@@ -327,23 +327,44 @@ def test_harness_bound_check_grid_with_point_exits_2(workdir, option):
     assert "--grid" in result.stderr
 
 
-def test_cli_import_leaves_harness_unloaded():
+def _fresh_interpreter(code):
     src = str(Path(mtaotibas.__file__).resolve().parents[1])
-    code = "import sys, mtaotibas.cli; sys.exit('mtaotibas.harness' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_leaves_harness_unloaded():
+    # a production command needs neither the harness nor the mock backend
+    code = ("import sys, mtaotibas.cli\n"
+            "loaded = sorted({'mtaotibas.harness', 'mtaotibas.pairing.mock'} & set(sys.modules))\n"
+            "sys.exit(f'loaded {loaded}' if loaded else 0)")
+    result = _fresh_interpreter(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_get_engine_imports_each_backend_on_demand():
+    code = ("import sys\n"
+            "from mtaotibas.pairing import get_engine\n"
+            "get_engine('production')\n"
+            "if 'mtaotibas.pairing.mock' in sys.modules:\n"
+            "    sys.exit('production engine loaded the mock')\n"
+            "engine = get_engine('mock', mock_table={('hash_to_g1', b'tag', b'x'): 5})\n"
+            "sys.exit(engine.hash_to_g1(b'tag', b'x') != engine.g1 ** 5)")
+    result = _fresh_interpreter(code)
+    assert result.returncode == 0, result.stderr
 
 
 def test_harness_monte_carlo_small(workdir):
     result = run(CliRunner(), ["harness", "monte-carlo", "--delta", "0.1", "--trials", "2000",
-                               "--seed", "3", "--jobs", "1"])
+                               "--seed", "3"])
     assert result.exit_code == 0
     rep = json.loads(result.output)
     assert rep["passes"] is True
 
 
 _BOUND = ["harness", "bound-check", "--qc", "0", "--qe", "0", "--qs", "0", "--n", "0"]
-_MONTE_CARLO = ["harness", "monte-carlo", "--delta", "0.1", "--trials", "10", "--jobs", "1"]
+_MONTE_CARLO = ["harness", "monte-carlo", "--delta", "0.1", "--trials", "10"]
 _HARNESS_RUN = MOCK + ["harness", "run", "--workload", "workload.json"]
 
 
@@ -353,8 +374,8 @@ _HARNESS_RUN = MOCK + ["harness", "run", "--workload", "workload.json"]
     (_BOUND + ["--qe", "-1"], "--qe"),
     (_BOUND + ["--qs", "-1"], "--qs"),
     (_BOUND + ["--n", "-1"], "--n"),
-    (_MONTE_CARLO + ["--jobs", "-1"], "--jobs"),
-    (_MONTE_CARLO + ["--jobs", "0"], "--jobs"),
+    (_MONTE_CARLO + ["--jobs", "1"], "--jobs"),  # the pool size follows from the CPU count
+    (_MONTE_CARLO + ["--jobs", "8"], "--jobs"),
     (_MONTE_CARLO + ["--trials", "0"], "--trials"),
     (_MONTE_CARLO + ["--trials", "-5"], "--trials"),
     (_MONTE_CARLO + ["--qc", "-1"], "--qc"),

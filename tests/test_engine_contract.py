@@ -7,7 +7,8 @@ import random
 import pytest
 
 from mtaotibas.errors import EmptyInput, InvalidElement
-from mtaotibas.pairing import MockEngine, bls12381, engine as engine_module, get_engine
+from mtaotibas.pairing import bls12381, engine as engine_module, get_engine
+from mtaotibas.pairing.mock import MockEngine
 
 from conftest import off_subgroup_g1_point, off_subgroup_g2_point
 

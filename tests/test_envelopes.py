@@ -6,7 +6,7 @@ import pytest
 
 from mtaotibas import envelopes, scheme
 from mtaotibas.errors import InvalidElement, MalformedEnvelope
-from mtaotibas.pairing import MockEngine
+from mtaotibas.pairing.mock import MockEngine
 
 from conftest import random_honest_bundle
 

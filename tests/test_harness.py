@@ -21,9 +21,14 @@ from mtaotibas.harness import (
     run_workload,
     scripted_forger,
 )
-from mtaotibas.harness.bounds import E_SQUARED_LOWER, bound_rhs_upper, success_probability
+from mtaotibas.harness.bounds import (
+    E_SQUARED_LOWER,
+    _mc_worker,
+    bound_rhs_upper,
+    success_probability,
+)
 from mtaotibas.harness.challenger import ABORT_SITES
-from mtaotibas.pairing import MOCK_MODULUS, MockEngine
+from mtaotibas.pairing.mock import MOCK_MODULUS, MockEngine
 
 Q = MOCK_MODULUS
 
@@ -451,7 +456,7 @@ def test_forger_gives_up_when_pattern_unreachable(engine):
     rng = random.Random(18)
     ch = Challenger(engine, CoCDHInstance.random(engine, rng), 0.0, rng)  # coin 1 never lands
     with pytest.raises(GiveUp):
-        scripted_forger(ch, rng=random.Random(4), max_attempts=16)
+        scripted_forger(ch, rng=random.Random(4))
 
 
 def test_forger_requires_mock(bls_engine):
@@ -570,12 +575,22 @@ def test_optimal_delta():
 
 
 def test_monte_carlo_delta_zero_is_certain(engine):
-    rep = monte_carlo_abort(0.0, 5, 5, 5, trials=500, seed=1, jobs=1)
+    rep = monte_carlo_abort(0.0, 5, 5, 5, trials=500, seed=1)
     assert rep["estimate"] == 1.0
 
 
+def test_monte_carlo_chunks_sum_to_one_range():
+    # each trial seeds its own rng from (seed, t), so the pool's split into
+    # chunks cannot move the estimate
+    ops = abort_workload(5, 5, 5)
+    whole = _mc_worker((0.2, ops, 7, 0, 300))
+    assert 0 < whole < 300
+    cuts = [0, 1, 64, 150, 299, 300]
+    assert sum(_mc_worker((0.2, ops, 7, lo, hi)) for lo, hi in zip(cuts, cuts[1:])) == whole
+
+
 def test_monte_carlo_small_run_passes(engine):
-    rep = monte_carlo_abort(0.1, 5, 5, 5, trials=4000, seed=2, jobs=1)
+    rep = monte_carlo_abort(0.1, 5, 5, 5, trials=4000, seed=2)
     assert rep["passes"]
     assert rep["estimate"] >= rep["bound"] - rep["ci99_half_width"]
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mtaotibas.errors import EmptyInput, InvalidElement
-from mtaotibas.pairing import MOCK_MODULUS, MockEngine, load_vector_table
+from mtaotibas.pairing.mock import MOCK_MODULUS, MockEngine, load_vector_table
 from mtaotibas.scheme import DOMAIN_H0
 
 from conftest import fixed_mock_table

@@ -26,9 +26,9 @@ from mtaotibas import envelopes
 from mtaotibas.cli import main
 from mtaotibas.errors import CorruptJournal, InvalidElement, MalformedEnvelope
 from mtaotibas.keystore import KeyStore
-from mtaotibas.pairing import MockEngine, get_engine
 from mtaotibas.pairing import bls12381 as curve
-from mtaotibas.pairing.mock import _MockElement
+from mtaotibas.pairing import get_engine
+from mtaotibas.pairing.mock import MockEngine, _MockElement
 
 from conftest import in_subgroup_by_ladder, off_subgroup_g1_point, off_subgroup_g2_point
 

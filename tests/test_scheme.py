@@ -7,7 +7,7 @@ import pytest
 
 from mtaotibas import scheme
 from mtaotibas.errors import EmptyInput, KeyMismatch
-from mtaotibas.pairing import MOCK_MODULUS, MockEngine
+from mtaotibas.pairing.mock import MOCK_MODULUS, MockEngine
 
 from conftest import FIXED, ScriptedRng, random_honest_bundle
 
