@@ -271,7 +271,9 @@ def harness():
 @click.pass_obj
 def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcript):
     """Replay a JSON workload script against a fresh challenger."""
-    from .harness import Challenger, CoCDHInstance, check_workload, optimal_delta, run_workload
+    from .harness.bounds import optimal_delta
+    from .harness.challenger import Challenger, CoCDHInstance
+    from .harness.workload import check_workload, run_workload
 
     if (planted_a is None) != (planted_b is None):
         raise click.UsageError("give both --planted-a and --planted-b, or neither")
@@ -308,7 +310,7 @@ def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcr
               help=f"Check every point of the {_BOUND_GRID} query grid instead of one point.")
 def cmd_bound_check(qc, qe, qs, n, grid):
     """Check the success-probability bound in exact arithmetic."""
-    from .harness import bound_check
+    from .harness.bounds import bound_check
 
     if grid:
         if (qc, qe, qs, n) != (None,) * 4:
@@ -342,7 +344,7 @@ def cmd_bound_check(qc, qe, qs, n, grid):
 @click.option("--seed", "mc_seed", type=int, default=0, show_default=True)
 def cmd_monte_carlo(delta, qc, qe, qs, trials, mc_seed):
     """Estimate the no-abort probability for the standard workload."""
-    from .harness import monte_carlo_abort
+    from .harness.bounds import monte_carlo_abort
 
     rep = monte_carlo_abort(delta, qc, qe, qs, trials=trials, seed=mc_seed)
     emit(rep)

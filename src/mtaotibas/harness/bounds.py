@@ -21,8 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from ..pairing import get_engine
-from .challenger import Challenger, CoCDHInstance
-from .workload import abort_workload, run_workload
 
 # e^2 = 7.3890560989306502272304274605750078131... (truncated -> lower bound)
 E_SQUARED_LOWER = Fraction(73890560989306502272, 10**19)
@@ -65,6 +63,10 @@ def bound_check(q_c: int, q_e: int, q_s: int, n: int) -> dict:
 
 
 def _mc_worker(args) -> int:
+    # the game is imported here, so that bound_check alone loads none of it
+    from .challenger import Challenger, CoCDHInstance
+    from .workload import run_workload
+
     delta, ops, seed, lo, hi = args
     # planted coins are answered through psi (G2 -> G1), which only the mock has
     engine = get_engine("mock")
@@ -83,6 +85,8 @@ def monte_carlo_abort(delta: float, q_c: int, q_e: int, q_s: int,
     normal-approximation confidence interval and the claimed lower bound
     (1-delta)^(q_C+q_E+q_S). Each trial seeds its own rng from (seed, t),
     so how the trials split into chunks cannot change the estimate."""
+    from .workload import abort_workload
+
     ops = abort_workload(q_c, q_e, q_s)
     jobs = min(8, os.cpu_count() or 1)
     chunk = (trials + jobs - 1) // jobs

@@ -3,12 +3,14 @@
 Everything is implemented over Python ints. Field towers use flat tuples
 and curve arithmetic uses Jacobian coordinates. Variable-base G1 scalar
 multiplication is one kernel, g1_msm: a multi-scalar multiplication that
-splits each scalar with the GLV endomorphism phi and interleaves all
-points over one chain of doublings (Straus), each point with a table of
-i*P + j*phi(P), i, j in 0..3; g1_mul is its one-point case, and the G1
-product a * b its two-point case with both scalars 1. One batched
-normalization, one inversion for a whole list, brings G1 tables and
-results to affine. g1_mul_plain, the reference, is a double-and-add ladder.
+splits each scalar with the GLV endomorphism phi into two halves, recodes
+each half to width-5 w-NAF and interleaves every half of every point over
+one chain of doublings (Moller, SAC 2001), each point with a table of
+P, 3P, ..., 15P and their negatives, which phi's half reads as (beta*x, y);
+g1_mul is its one-point case, and the G1 product a * b its two-point case
+with both scalars 1. One batched normalization, one inversion for a whole
+list, brings G1 tables and results to affine. g1_mul_plain, the
+reference, is a double-and-add ladder.
 
 On the twist E' over Fq2, psi (untwist, Frobenius, twist: two conjugations
 and two products by constants) acts on G2 as [x] = -[|x|]. g2_mul splits
@@ -399,28 +401,45 @@ def _j_batch_normalize(points):
     return out
 
 
-def _glv_table(pt):
-    # i*P + j*phi(P) for i, j in 0..3 in Jacobian coordinates, at index
-    # i + 4j - 1 (the identity, i = j = 0, is left out); for an r-subgroup
-    # point none is the identity, as i + j*LAMBDA is not 0 mod r
-    x, y = pt
-    table = [(0, 1, 0), (x, y, 1), _j_double(x, y, 1)]
-    table.append(_j_add_affine(*table[2], x, y))
-    phi_x = x * GLV_BETA % PRIME
-    for k in range(4, 16):
-        table.append(_j_add_affine(*table[k - 4], phi_x, y))
-    return table[1:]
+# g1_msm's w-NAF width: every nonzero digit d is odd with |d| < _WNAF_HALF,
+# that is in -15..15, and is read from a table of the _WNAF_HALF entries
+# -15P, ..., -3P, -P, P, 3P, ..., 15P at index (d + _WNAF_HALF - 1) >> 1
+_WNAF_WIDTH = 5
+_WNAF_HALF = 1 << (_WNAF_WIDTH - 1)
+
+
+def _wnaf(k):
+    # width-5 non-adjacent form of k >= 0 as (position, digit) pairs, lowest
+    # first: k = sum of d * 2^position, and any 5 consecutive positions hold
+    # at most one digit (Hankerson-Menezes-Vanstone, Alg. 3.35); a run of
+    # zeros is skipped in one shift
+    out = []
+    pos = 0
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        pos += zeros
+        d = k & (2 * _WNAF_HALF - 1)
+        if d >= _WNAF_HALF:
+            d -= 2 * _WNAF_HALF
+        out.append((pos, d))
+        k = (k - d) >> _WNAF_WIDTH
+        pos += _WNAF_WIDTH
+    return out
 
 
 def g1_msm(pairs):
     """Sum of k*P over (P, k) pairs of r-subgroup points (None = identity).
 
-    Straus interleaving with the GLV split: k = k1 + k2*LAMBDA with k1, k2
-    of about 128 bits, and per point a joint 2-bit window table of
-    i*P + j*phi(P), built in Jacobian coordinates and brought to affine with
-    one inversion for all tables. One chain of doublings is shared by every
-    point, with one mixed addition per point per nonzero window. A point
-    whose scalar is 1 needs no table; it is added after the last doubling.
+    Interleaved w-NAF (Moller, SAC 2001) with the GLV split:
+    k = k1 + k2*LAMBDA with k1, k2 of about 128 bits, each recoded by _wnaf
+    to signed odd digits in -15..15, at most one nonzero in any five. Each
+    point gets a table of P, 3P, ..., 15P and their negatives (y negated) in
+    affine, one inversion for all points' tables; the phi half reads the
+    same table as (beta*x, y), with no group operation. One chain of
+    doublings is shared by every half of every point, with one mixed
+    addition per nonzero digit. A point whose scalar is 1 needs no table; it
+    is added after the last doubling.
     """
     ones = []
     terms = []
@@ -432,21 +451,40 @@ def g1_msm(pairs):
             ones.append(pt)
         else:
             terms.append((pt, k % GLV_LAMBDA, k // GLV_LAMBDA))
-    acc = (0, 1, 0)
+    X, Y, Z = 0, 1, 0
     if terms:
-        flat = _j_batch_normalize([e for pt, _, _ in terms for e in _glv_table(pt)])
-        tables = [flat[15 * t:15 * t + 15] for t in range(len(terms))]
-        top = (max(max(k1.bit_length(), k2.bit_length()) for _, k1, k2 in terms) + 1) & ~1
-        for shift in range(top - 2, -1, -2):
-            acc = _j_double(*_j_double(*acc))
-            for table, (_, k1, k2) in zip(tables, terms):
-                sel = ((k1 >> shift) & 3) | (((k2 >> shift) & 3) << 2)
-                if sel:
-                    x, y = table[sel - 1]
-                    acc = _j_add_affine(*acc, x, y)
+        # 3P, ..., 15P by adding 2P = (x2/c^2, y2/c^3) seven times. The map
+        # (x, y) -> (x*c^2, y*c^3) carries E to y^2 = x^3 + 4*c^6, where 2P
+        # is the affine (x2, y2), and the a = 0 formulas never read b; so the
+        # sums run there with mixed additions, and Z*c maps each back to E.
+        # For an r-subgroup point none of 2P, ..., 15P is the identity.
+        n_odd = _WNAF_HALF // 2 - 1
+        odd = []
+        for (x, y), _, _ in terms:
+            x2, y2, c = _j_double(x, y, 1)
+            c2 = c * c % PRIME
+            acc = (x * c2 % PRIME, y * c2 * c % PRIME, 1)
+            for _ in range(n_odd):
+                acc = _j_add_affine(*acc, x2, y2)
+                odd.append((acc[0], acc[1], acc[2] * c % PRIME))
+        odd = _j_batch_normalize(odd)
+        steps = {}
+        for t, (pt, k1, k2) in enumerate(terms):
+            multiples = [pt] + odd[n_odd * t:n_odd * t + n_odd]
+            table = [(x, -y % PRIME) for x, y in reversed(multiples)] + multiples
+            for i, d in _wnaf(k1):
+                steps.setdefault(i, []).append(table[(d + _WNAF_HALF - 1) >> 1])
+            if k2:
+                table = [(x * GLV_BETA % PRIME, y) for x, y in table]
+                for i, d in _wnaf(k2):
+                    steps.setdefault(i, []).append(table[(d + _WNAF_HALF - 1) >> 1])
+        for i in range(max(steps), -1, -1):
+            X, Y, Z = _j_double(X, Y, Z)
+            for x, y in steps.get(i, ()):
+                X, Y, Z = _j_add_affine(X, Y, Z, x, y)
     for x, y in ones:
-        acc = _j_add_affine(*acc, x, y)
-    return _j_batch_normalize([acc])[0]
+        X, Y, Z = _j_add_affine(X, Y, Z, x, y)
+    return _j_batch_normalize([(X, Y, Z)])[0]
 
 
 def g1_mul(pt, k):

@@ -21,13 +21,9 @@ from mtaotibas.errors import (
     KeyAlreadyUsed,
     MalformedEnvelope,
 )
-from mtaotibas.harness import (
-    Challenger,
-    CoCDHInstance,
-    bound_check,
-    monte_carlo_abort,
-    scripted_forger,
-)
+from mtaotibas.harness.bounds import bound_check, monte_carlo_abort
+from mtaotibas.harness.challenger import Challenger, CoCDHInstance
+from mtaotibas.harness.forger import scripted_forger
 from mtaotibas.keystore import KeyStore
 from mtaotibas.pairing import get_engine
 

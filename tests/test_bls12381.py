@@ -616,6 +616,116 @@ def test_g1_product_operator_matches_affine_law(bls_engine):
     assert a * b * c == e.g1_product([(a, 1), (b, 1), (c, 1)]) == a * (b * c)
 
 
+def _joint_2bit_msm(pairs):
+    # the G1 multi-scalar multiplication g1_msm replaced: the same GLV split,
+    # each point with a joint 2-bit window table of i*P + j*phi(P), i, j in
+    # 0..3, over one chain of doublings; the reference for the w-NAF kernel
+    r, p, lam = curve.ORDER, curve.PRIME, curve.GLV_LAMBDA
+    ones, terms = [], []
+    for pt, k in pairs:
+        k %= r
+        if pt is None or k == 0:
+            continue
+        if k == 1:
+            ones.append(pt)
+        else:
+            terms.append((pt, k % lam, k // lam))
+    acc = (0, 1, 0)
+    if terms:
+        jac = []
+        for (x, y), _, _ in terms:
+            table = [(0, 1, 0), (x, y, 1), curve._j_double(x, y, 1)]
+            table.append(curve._j_add_affine(*table[2], x, y))
+            phi_x = x * curve.GLV_BETA % p
+            for k in range(4, 16):
+                table.append(curve._j_add_affine(*table[k - 4], phi_x, y))
+            jac += table[1:]
+        flat = curve._j_batch_normalize(jac)
+        tables = [flat[15 * t:15 * t + 15] for t in range(len(terms))]
+        top = (max(max(k1.bit_length(), k2.bit_length()) for _, k1, k2 in terms) + 1) & ~1
+        for shift in range(top - 2, -1, -2):
+            acc = curve._j_double(*curve._j_double(*acc))
+            for table, (_, k1, k2) in zip(tables, terms):
+                sel = ((k1 >> shift) & 3) | (((k2 >> shift) & 3) << 2)
+                if sel:
+                    acc = curve._j_add_affine(*acc, *table[sel - 1])
+    for x, y in ones:
+        acc = curve._j_add_affine(*acc, x, y)
+    return curve._j_batch_normalize([acc])[0]
+
+
+def _wnaf_edge_scalars():
+    # scalars from chosen GLV halves k = k1 + k2*LAMBDA (k1 < LAMBDA): halves
+    # of 2^127 - 1 and of 21 * 2^123 (128 bits) carry into one more w-NAF
+    # digit than they have bits (2^128 - 1 is above LAMBDA, so no half is
+    # it); runs of ones and of zeros, alternating bits, and 0, 1, r - 1, r,
+    # r + 1, LAMBDA and its small multiples as whole scalars
+    lam, r = curve.GLV_LAMBDA, curve.ORDER
+    ones, top = (1 << 127) - 1, 1 << 127
+    halves = [0, 1, 2, 15, 16, 31, 33, ones, top, top + 1, lam - 1, (1 << 126) - 1, 21 << 123,
+              int("1" * 40 + "0" * 40 + "1" * 40, 2), int("1111100000" * 12, 2), int("10" * 63, 2),
+              int("01" * 63, 2), int("11110000" * 15, 2)]
+    ks = [k1 + k2 * lam for k1 in halves for k2 in halves[:8] + [ones, lam - 1, lam, lam + 1] if k2 * lam + k1 < r]
+    ks += [0, 1, 2, r - 1, r, r + 1, r + 2, 2 * r - 1, (1 << 128) - 1, (1 << 255) - 1]
+    ks += [m * lam for m in range(1, 8)] + [m * lam + e for m in (1, 2, 3) for e in (-1, 1)]
+    return ks
+
+
+def test_wnaf_digit_properties():
+    rng = random.Random(2201)
+    lam = curve.GLV_LAMBDA
+    ks = [0, 1, 2, 3, 15, 16, 17, 31, 32, 33, (1 << 127) - 1, (1 << 128) - 1, lam - 1, lam]
+    ks += [k for k in _wnaf_edge_scalars() if k < lam] + [rng.randrange(1 << rng.randrange(1, 129)) for _ in range(300)]
+    for k in ks:
+        wnaf = curve._wnaf(k)
+        digits = [0] * (wnaf[-1][0] + 1 if wnaf else 0)
+        for i, d in wnaf:
+            digits[i] = d
+        assert sum(d << i for i, d in enumerate(digits)) == k, k
+        assert all(d % 2 == 1 and abs(d) <= 15 for d in digits if d), k
+        assert all(sum(1 for d in digits[i:i + 5] if d) <= 1 for i in range(len(digits))), k
+        assert len(digits) <= k.bit_length() + 1, k
+        assert [i for i, _ in wnaf] == sorted({i for i, _ in wnaf}), k
+    # the carry cases of the edge corpus: one digit more than the half has bits
+    assert curve._wnaf((1 << 127) - 1)[-1] == (127, 1)
+    assert curve._wnaf(21 << 123) == [(123, -11), (128, 1)]
+    assert curve._wnaf(31) == [(0, -1), (5, 1)]
+
+
+def test_msm_matches_joint_2bit_reference():
+    # the w-NAF kernel against the joint 2-bit kernel it replaced and the
+    # ladder sums, bit for bit: 1-19 random points, the edge scalars, and
+    # repeated points, P with -P and identities among the bases
+    g = (curve._G1X, curve._G1Y)
+    rng = random.Random(2202)
+    r = curve.ORDER
+    pts = [curve.g1_mul_plain(g, rng.randrange(1, r)) for _ in range(19)]
+    edges = _wnaf_edge_scalars()
+    for n in range(1, 20):
+        pairs = [(pt, rng.choice(edges) if rng.random() < 0.4 else rng.randrange(r)) for pt in pts[:n]]
+        expected = _plain_sum(pairs)
+        assert curve.g1_msm(pairs) == _joint_2bit_msm(pairs) == expected, n
+    for k in edges:
+        for pairs in ([(pts[0], k)], [(pts[1], k), (pts[2], 1)], [(g, k), (pts[3], rng.choice(edges))]):
+            assert curve.g1_msm(pairs) == _joint_2bit_msm(pairs) == _plain_sum(pairs), k
+    p, q, k, m = pts[4], pts[5], rng.randrange(2, r), rng.randrange(2, r)
+    neg = curve.g1_neg(p)
+    cases = [
+        [(p, k), (p, k), (p, k)],
+        [(p, k), (neg, k)],
+        [(p, k), (neg, r - k)],  # k*P twice, from P's table and from -P's
+        [(p, k), (neg, k), (q, m), (None, k)],
+        [(None, k), (None, 1), (p, 0), (q, r)],
+        [(p, k), (q, m), (p, r - k), (q, r - m)],
+        [(p, (1 << 127) - 1), (neg, (1 << 127) - 1), (q, 1), (curve.g1_neg(q), 1)],
+        [(p, 3), (p, 5), (neg, 8), (q, 15), (q, 17)],
+        [(pt, 1) for pt in pts] + [(pt, 2) for pt in pts[:4]],
+    ]
+    for pairs in cases:
+        assert curve.g1_msm(pairs) == _joint_2bit_msm(pairs) == _plain_sum(pairs), pairs
+    assert [curve.g1_msm(cases[i]) for i in (1, 4, 5, 6)] == [None] * 4
+
+
 def test_group_axioms(bls_engine):
     e = bls_engine
     x = e.g1 ** 12345

@@ -343,6 +343,15 @@ def test_cli_import_leaves_harness_unloaded():
     assert result.returncode == 0, result.stderr
 
 
+def test_bounds_import_leaves_the_game_unloaded():
+    # bound-check needs the bound's arithmetic, not the challenger or forger
+    code = ("import sys, mtaotibas.harness.bounds\n"
+            "loaded = sorted({'mtaotibas.harness.forger', 'mtaotibas.harness.challenger'} & set(sys.modules))\n"
+            "sys.exit(f'loaded {loaded}' if loaded else 0)")
+    result = _fresh_interpreter(code)
+    assert result.returncode == 0, result.stderr
+
+
 def test_get_engine_imports_each_backend_on_demand():
     code = ("import sys\n"
             "from mtaotibas.pairing import get_engine\n"

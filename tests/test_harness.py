@@ -11,23 +11,18 @@ from mtaotibas.errors import (
     ReductionAbort,
     UnknownCertificate,
 )
-from mtaotibas.harness import (
-    Challenger,
-    CoCDHInstance,
-    abort_workload,
-    bound_check,
-    monte_carlo_abort,
-    optimal_delta,
-    run_workload,
-    scripted_forger,
-)
 from mtaotibas.harness.bounds import (
     E_SQUARED_LOWER,
     _mc_worker,
+    bound_check,
     bound_rhs_upper,
+    monte_carlo_abort,
+    optimal_delta,
     success_probability,
 )
-from mtaotibas.harness.challenger import ABORT_SITES
+from mtaotibas.harness.challenger import ABORT_SITES, Challenger, CoCDHInstance
+from mtaotibas.harness.forger import scripted_forger
+from mtaotibas.harness.workload import abort_workload, run_workload
 from mtaotibas.pairing.mock import MOCK_MODULUS, MockEngine
 
 Q = MOCK_MODULUS

@@ -451,7 +451,8 @@ def _single_replacements(eng, bundle):
 
 def test_pinned_check_outcomes(fixed_scenario, bls_engine):
     from mtaotibas.errors import DegenerateDenominator, GiveUp, ReductionAbort
-    from mtaotibas.harness import Challenger, CoCDHInstance, scripted_forger
+    from mtaotibas.harness.challenger import Challenger, CoCDHInstance
+    from mtaotibas.harness.forger import scripted_forger
 
     eng, params = fixed_scenario["engine"], fixed_scenario["params"]
     outcomes = []
