@@ -33,7 +33,6 @@ _BOUND_GRID = (0, 1, 5, 10, 50)
 
 @dataclass
 class CommandContext:
-    backend: str
     seed: Optional[int]
     engine: object
 
@@ -85,8 +84,7 @@ def main(ctx, backend, insecure_mock, seed, mock_table):
         from .pairing.mock import load_vector_table
 
         table = load_vector_table(mock_table)
-    ctx.obj = CommandContext(backend=backend, seed=seed,
-                             engine=get_engine(backend, mock_table=table))
+    ctx.obj = CommandContext(seed=seed, engine=get_engine(backend, mock_table=table))
 
 
 @main.command("root-setup")
@@ -99,7 +97,7 @@ def cmd_root_setup(obj, out_params, out_master):
     envelopes.save_json(out_params, obj.engine, params)
     envelopes.save_json(out_master, obj.engine, master)
     emit({
-        "backend": obj.backend,
+        "backend": obj.engine.backend,
         "params": out_params,
         "master": out_master,
         "y": obj.engine.encode_g2(params.y).hex(),

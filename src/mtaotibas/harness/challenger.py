@@ -104,7 +104,8 @@ class Challenger:
         self.abort_site: Optional[str] = None
         self.abort_detail = ""
         self.extraction: Optional[object] = None
-        self._hashes = scheme.HashSuite(
+        # the programmed random oracles, pluggable into the scheme
+        self.hashes = scheme.HashSuite(
             identity_point=lambda ident, bit: (self._h0(bytes(ident)).id0, self._h0(bytes(ident)).id1)[bit],
             message_scalar=lambda msg, ident, cert: self._h1(bytes(ident), bytes(msg), bytes(cert)).h,
         )
@@ -122,10 +123,6 @@ class Challenger:
 
     def _flip(self) -> int:
         return 1 if self.rng.random() < self.delta else 0
-
-    def oracle_suite(self) -> scheme.HashSuite:
-        """The programmed random oracles, pluggable into the scheme."""
-        return self._hashes
 
     # -- memoized internal tables (not counted as adversary queries) --------
 
@@ -255,18 +252,13 @@ class Challenger:
 
     # -- forgery handling ----------------------------------------------------
 
-    def finalize(self, bundle: scheme.AggregateBundle,
-                 target: Optional[Tuple[int, int]] = None):
+    def finalize(self, bundle: scheme.AggregateBundle):
         """Process a forgery: verify it under the simulated oracles, demand
         the Sigma-3 coin pattern, then divide out everything the challenger
-        knows and take the root that leaves g1^(a*b).
-
-        ``target`` optionally names (group index, signer index) and is
-        cross-checked against the coin pattern.
-        """
+        knows and take the root that leaves g1^(a*b)."""
         self._check_alive()
         try:
-            result = scheme.verify(self.engine, self.params, bundle, hashes=self._hashes)
+            result = scheme.verify(self.engine, self.params, bundle, hashes=self.hashes)
         except UnknownCertificate:
             self._abort("forgery", "authority never set up")
         if not result:
@@ -278,25 +270,23 @@ class Challenger:
         q = self.engine.order
         known = []  # (TASimRecord, int)
         found = None
-        for gi, (ta_record, signers) in enumerate(bundle.groups):
+        for ta_record, signers in bundle.groups:
             cert_b = ta_record.cert_bytes(self.engine)
             ta = self.ta_by_cert[cert_b]
             exponent = 0
-            for si, (ident, message) in enumerate(signers):
+            for ident, message in signers:
                 h0 = self._h0(ident)
                 h1 = self._h1(ident, message, cert_b)
                 exponent += h0.alpha0 + h1.h * h0.alpha1
                 if h0.coin == 1:
                     if found is not None:
                         self._abort("forgery", "more than one planted identity in forgery")
-                    found = (gi, si, ta, h0, h1)
+                    found = (ta, h0, h1)
             known.append((ta, exponent % q))
 
         if found is None:
             self._abort("forgery", "no planted identity in forgery")
-        gi, si, target_ta, target_h0, target_h1 = found
-        if target is not None and (gi, si) != tuple(target):
-            self._abort("forgery", "declared target does not match the coin pattern")
+        target_ta, target_h0, target_h1 = found
         if target_ta.coin != 1:
             self._abort("forgery", "target authority not planted")
         if target_h1.coin_prime != 0:

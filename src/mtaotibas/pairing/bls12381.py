@@ -60,7 +60,6 @@ on this backend.
 
 import hmac
 import struct
-import threading
 from collections import OrderedDict
 
 from ..encoding import expand_bytes
@@ -587,14 +586,11 @@ def _j2_add_affine(X1, Y1, Z1, x2, y2):
 
 # psi, the twist endomorphism of E' (untwist, Frobenius, twist):
 # psi(x, y) = (conj(x)*c_x, conj(y)*c_y) with c_x = xi^-((p-1)/3) and
-# c_y = xi^-((p-1)/2). On G2 it acts as [p] = [x] (p = x mod r), that is as
-# -[|x|]. test_psi_constants checks both literals against fq2_pow and
-# psi(G2) = [x]G2.
-_PSI_CX = (0, 0x1A0111EA397FE699EC02408663D4DE85AA0D857D89759AD4897D29650FB85F9B409427EB4F49FFFD8BFD00000000AAAD)
-_PSI_CY = (
-    0x135203E60180A68EE2E9C448D77A2CD91C3DEDD930B1CF60EF396489F61EB45E304466CF3E67FA0AF1EE7B04121BDEA2,
-    0x06AF0E0437FF400B6831E36D6BD17FFE48395DABC2D3435E77F76E17009241C5EE67992F72EC05F4C81084FBEDE3CC09,
-)
+# c_y = xi^-((p-1)/2), the inverses of _FROB1[2] and _FROB1[3]. On G2 it
+# acts as [p] = [x] (p = x mod r), that is as -[|x|]. test_psi_constants
+# checks both against fq2_pow and psi(G2) = [x]G2.
+_PSI_CX = fq2_inv(_FROB1[2])
+_PSI_CY = fq2_inv(_FROB1[3])
 
 
 def _g2_psi(pt):
@@ -1020,7 +1016,6 @@ class Bls12381Engine(PairingEngine):
         # the Miller lines of recent G2 arguments, least recently used first;
         # filled by multi_pair, so an engine that never pairs builds none
         self._lines = OrderedDict()
-        self._lines_lock = threading.Lock()
 
     # pair, multi_pair, hash_to_g1 and the decoders stay in this class body,
     # all but multi_pair bound from the base: the benchmark's tracer wraps
@@ -1041,23 +1036,20 @@ class Bls12381Engine(PairingEngine):
     def _line_tables(self, qs) -> list:
         """_g2_lines(qs) through the engine's LRU of _LINE_CACHE_POINTS
         points: g2, y and each y_i recur across the scheme's equations. The
-        misses of one call are built together, outside the lock."""
-        found = {}
-        with self._lines_lock:
+        misses of one call are built together, under the engine's lock."""
+        with self._lock:
+            found = {}
             for q in qs:
                 if q in self._lines:
                     self._lines.move_to_end(q)
                     found[q] = self._lines[q]
-        fresh = [q for q in qs if q not in found]
-        if fresh:
-            found.update(zip(fresh, _g2_lines(fresh)))
-            with self._lines_lock:
-                for q in fresh:
-                    self._lines[q] = found[q]
-                    self._lines.move_to_end(q)
+            fresh = [q for q in qs if q not in found]
+            if fresh:
+                for q, lines in zip(fresh, _g2_lines(fresh)):
+                    self._lines[q] = found[q] = lines
                 while len(self._lines) > _LINE_CACHE_POINTS:
                     self._lines.popitem(last=False)
-        return [found[q] for q in qs]
+            return [found[q] for q in qs]
 
     def g1_product(self, pairs) -> G1Point:
         return G1Point(g1_msm([(p.pt, k) for p, k in self._g1_terms(pairs)]))

@@ -7,6 +7,8 @@ from functools import lru_cache
 from ..encoding import hash_to_int_wide
 from ..errors import EmptyInput, InvalidElement, UnsupportedOperation
 
+# distinct (tag, data) pairs whose hash-to-G1 point an engine keeps
+_HASH_MEMO_SIZE = 8192
 # distinct valid encodings whose decoded point an engine keeps, per group
 _DECODE_MEMO_SIZE = 256
 
@@ -38,27 +40,27 @@ class PairingEngine:
     faster kernel that passes its bases through ``_g1_terms``.
 
     An engine can be shared across threads. Its mutable state is the
-    counter, which one lock guards and which adds one per pairing term, and
-    caches of pure functions: in both backends the hash-to-G1 memo and
+    counter, which adds one per pairing term, and caches of pure functions:
+    in both backends the hash-to-G1 memo of ``_HASH_MEMO_SIZE`` inputs and
     one decode memo per group of ``_DECODE_MEMO_SIZE`` encodings
     (``functools.lru_cache``, thread-safe itself; a mock's pinned table is
     fixed per engine), and in production only the Miller lines of recent G2
-    arguments, whose bookkeeping a second lock guards. No cache changes a
-    result. A decode memo keys on the exact bytes and holds only encodings
-    that passed every check; a rejected one is never cached, so it runs
-    the whole decoder again on every call.
+    arguments. One lock, ``_lock``, guards the counter and the line cache.
+    No cache changes a result. A decode memo keys on the exact bytes and
+    holds only encodings that passed every check; a rejected one is never
+    cached, so it runs the whole decoder again on every call.
     """
 
     def __init__(self):
         self._pairing_count = 0
-        self._count_lock = threading.Lock()
-        self._hash_g1 = lru_cache(maxsize=8192)(self._hash_to_g1)
+        self._lock = threading.Lock()
+        self._hash_g1 = lru_cache(maxsize=_HASH_MEMO_SIZE)(self._hash_to_g1)
         self._decoded_g1 = lru_cache(maxsize=_DECODE_MEMO_SIZE)(self._decode_g1)
         self._decoded_g2 = lru_cache(maxsize=_DECODE_MEMO_SIZE)(self._decode_g2)
 
     @property
     def pairing_count(self) -> int:
-        with self._count_lock:
+        with self._lock:
             return self._pairing_count
 
     def _counted(self, terms) -> list:
@@ -70,7 +72,7 @@ class PairingEngine:
         for p, r in terms:
             if type(p) is not self.G1 or type(r) is not self.G2:
                 raise InvalidElement("pairing terms must be (G1, G2)")
-        with self._count_lock:
+        with self._lock:
             self._pairing_count += len(terms)
         return terms
 

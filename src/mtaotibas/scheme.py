@@ -89,10 +89,6 @@ class TARecord:
     y_i: object  # G2 element, g2^kappa_i
     cert: object  # G1 element, cert-hash(payload)^kappa
 
-    def payload(self, engine) -> bytes:
-        """The bytes the root signs: identity framed with the public key."""
-        return cert_payload(engine, self.ta_identity, self.y_i)
-
     def cert_bytes(self, engine) -> bytes:
         """Canonical certificate bytes as hashed into every signature."""
         return length_prefixed(
@@ -187,7 +183,7 @@ def lowerlevel_setup(engine, params: SystemParams, master: MasterSecret, ta_iden
 def verify_certificate(engine, params: SystemParams, ta: TARecord) -> bool:
     """Check the root's signature on an authority record:
     e(cert, g2) == e(cert-hash(payload), y)."""
-    h = _cert_hash(engine, ta.payload(engine))
+    h = _cert_hash(engine, cert_payload(engine, ta.ta_identity, ta.y_i))
     return engine.multi_pair(_equation(engine, ta.cert, [(h, params.y)])) == engine.identity_gt
 
 
@@ -283,7 +279,7 @@ def verify(engine, params: SystemParams, bundle: AggregateBundle,
     if check_certificates:
         for ta, _ in bundle.groups:
             rho = engine.random_scalar(rng)
-            h = _cert_hash(engine, ta.payload(engine))
+            h = _cert_hash(engine, cert_payload(engine, ta.ta_identity, ta.y_i))
             cert_terms += _equation(engine, ta.cert ** rho, [(h ** rho, params.y)])
         if engine.multi_pair(cert_terms) != engine.identity_gt:
             return VerifyResult(False, reason="certificate check failed",

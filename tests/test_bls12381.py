@@ -288,6 +288,52 @@ def test_engine_line_cache_shared_across_threads(monkeypatch):
     assert len(e._lines) == size and set(e._lines) <= set(pool)
 
 
+def test_engine_pairing_count_under_contention():
+    # more threads than cores pair on one production engine over a pool of G2
+    # points a few larger than its line cache, so lookups, builds and
+    # evictions interleave under the engine's one lock. The counter gains
+    # exactly the terms paired, every product equals the same call on a fresh
+    # engine in one thread, and the cache, read under the lock, never
+    # exceeds its size
+    e = curve.Bls12381Engine()
+    size = curve._LINE_CACHE_POINTS
+    rng = random.Random(26)
+    ps, qs = _random_points(rng, 4, size + 3)
+    g1s, g2s = [curve.G1Point(p) for p in ps], [curve.G2Point(q) for q in qs]
+    calls = [[[(rng.choice(g1s), r) for r in rng.sample(g2s, rng.randrange(1, 4))]
+              for _ in range(10)]
+             for _ in range(2 * (os.cpu_count() or 1) + 2)]
+    results = [[] for _ in calls]
+    errors = []
+
+    def worker(mine, out):
+        try:
+            for terms in mine:
+                out.append(e.multi_pair(terms))
+                with e._lock:
+                    if len(e._lines) > size:
+                        errors.append(len(e._lines))
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    before = e.pairing_count
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=args) for args in zip(calls, results)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert e.pairing_count - before == sum(len(terms) for mine in calls for terms in mine)
+    alone = curve.Bls12381Engine()
+    assert results == [[alone.multi_pair(terms) for terms in mine] for mine in calls]
+
+
 def _easy_part(f):
     # f^((p^6-1)(p^2+1)), as final_exponentiation begins
     f = curve.fq12_mul(curve.fq12_conj(f), curve.fq12_inv(f))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from mtaotibas.harness.bounds import (
     success_probability,
 )
 from mtaotibas.harness.challenger import ABORT_SITES, Challenger, CoCDHInstance
-from mtaotibas.harness.forger import scripted_forger
+from mtaotibas.harness.forger import _BACKGROUND_SIGNERS, _MAX_ATTEMPTS, scripted_forger
 from mtaotibas.harness.workload import abort_workload, run_workload
 from mtaotibas.pairing.mock import MOCK_MODULUS, MockEngine
 
@@ -261,7 +262,7 @@ def test_extract_outputs_well_formed_under_simulated_keys(engine):
         except ReductionAbort:
             ch.abort_site = None  # revive for the next probe
             continue
-        assert scheme.key_is_well_formed(engine, key, record, hashes=ch.oracle_suite())
+        assert scheme.key_is_well_formed(engine, key, record, hashes=ch.hashes)
         checked += 1
     assert checked > 10
 
@@ -292,7 +293,7 @@ def test_sign_programmed_branch_cancels_planted_term(engine):
     assert engine.dlog(sig.sigma) == expected
     # the simulated signature passes single-signer verification
     bundle = scheme.AggregateBundle.build([(record, [(b"X", b"m")])], sig.sigma)
-    assert scheme.verify(engine, ch.params, bundle, hashes=ch.oracle_suite())
+    assert scheme.verify(engine, ch.params, bundle, hashes=ch.hashes)
 
 
 def test_sign_unprogrammed_pattern_aborts(engine):
@@ -319,7 +320,7 @@ def test_sign_honest_branches_verify(engine):
             ch.abort_site = None
             continue
         bundle = scheme.AggregateBundle.build([(record, [(ident, b"payload")])], sig.sigma)
-        assert scheme.verify(engine, ch.params, bundle, hashes=ch.oracle_suite())
+        assert scheme.verify(engine, ch.params, bundle, hashes=ch.hashes)
         verified += 1
     assert verified > 10
 
@@ -388,7 +389,7 @@ def _dlog_forgery(ch, record, signers):
         h0 = ch.h0_list[ident]
         omega += (engine.dlog(h0.id0) + h * engine.dlog(h0.id1)) * engine.dlog(record.y_i)
     bundle = scheme.AggregateBundle.build([(record, signers)], engine.element_g1(omega % Q))
-    assert scheme.verify(engine, ch.params, bundle, hashes=ch.oracle_suite())
+    assert scheme.verify(engine, ch.params, bundle, hashes=ch.hashes)
     return bundle
 
 
@@ -412,14 +413,6 @@ def test_finalize_pattern_aborts(engine, scalars, coins, signers, detail):
     assert (ch.abort_site, ch.abort_detail, ch.extraction) == ("forgery", detail, None)
 
 
-def test_finalize_target_hint_checked(engine):
-    rng = random.Random(15)
-    ch = Challenger(engine, planted_instance(engine, 5, 7), 0.5, rng)
-    forgery = scripted_forger(ch, rng=random.Random(2))
-    with pytest.raises(ReductionAbort):
-        ch.finalize(forgery.bundle, target=(0, 1))
-
-
 # -- scripted forger -----------------------------------------------------------
 
 
@@ -427,7 +420,7 @@ def test_forger_bundle_verifies_and_target_untouched(engine):
     rng = random.Random(16)
     ch = Challenger(engine, planted_instance(engine, 11, 13), 0.5, rng)
     forgery = scripted_forger(ch, rng=random.Random(3))
-    assert scheme.verify(engine, ch.params, forgery.bundle, hashes=ch.oracle_suite())
+    assert scheme.verify(engine, ch.params, forgery.bundle, hashes=ch.hashes)
     # the forger never used the withheld-query oracles at all
     assert ch.counts["extract"] == 0
     assert ch.counts["corrupt"] == 0
@@ -452,6 +445,22 @@ def test_forger_gives_up_when_pattern_unreachable(engine):
     ch = Challenger(engine, CoCDHInstance.random(engine, rng), 0.0, rng)  # coin 1 never lands
     with pytest.raises(GiveUp):
         scripted_forger(ch, rng=random.Random(4))
+
+
+def test_forger_gives_up_without_unplanted_background(engine, monkeypatch):
+    # the target authority and identity come out planted and the target
+    # message hash unprogrammed, then every identity after them is planted:
+    # the background hunt spends its whole budget and gives up
+    rng = random.Random(25)
+    ch = Challenger(engine, CoCDHInstance.random(engine, rng), 0.5, rng)
+    coins = itertools.chain([1, 1, 0], itertools.repeat(1))
+    monkeypatch.setattr(ch, "_flip", lambda: next(coins))
+    budget = _MAX_ATTEMPTS * _BACKGROUND_SIGNERS
+    with pytest.raises(GiveUp, match=f"^no unplanted identity after {budget} attempts$"):
+        scripted_forger(ch, rng=random.Random(6))
+    background = [r for r in ch.h0_list.values() if r.identity.startswith(b"forge-bgid-")]
+    assert len(background) == budget and all(r.coin == 1 for r in background)
+    assert ch.counts["h0"] == 1 + budget
 
 
 def test_forger_requires_mock(bls_engine):

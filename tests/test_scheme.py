@@ -51,7 +51,7 @@ def test_certificate_pairing_values(fixed_scenario):
     eng = fixed_scenario["engine"]
     _, trec = fixed_scenario["tas"][b"TA-1"]
     assert eng.dlog(eng.pair(trec.cert, eng.g2)) == 63
-    assert eng.dlog(eng.pair(eng.hash_to_g1(scheme.DOMAIN_CERT, trec.payload(eng)), fixed_scenario["params"].y)) == 63
+    assert eng.dlog(eng.pair(eng.hash_to_g1(scheme.DOMAIN_CERT, scheme.cert_payload(eng, trec.ta_identity, trec.y_i)), fixed_scenario["params"].y)) == 63
 
 
 def test_certificate_tamper_exhaustive(fixed_scenario):
@@ -146,7 +146,8 @@ def test_two_tas_same_identity_different_certs(mock_engine):
     _, rec1 = scheme.lowerlevel_setup(eng, params, master, b"TA-X", ScriptedRng(11))
     _, rec2 = scheme.lowerlevel_setup(eng, params, master, b"TA-X", ScriptedRng(13))
     # payload includes y_i, so different keys yield different certificates
-    assert rec1.payload(eng) != rec2.payload(eng)
+    assert (scheme.cert_payload(eng, rec1.ta_identity, rec1.y_i)
+            != scheme.cert_payload(eng, rec2.ta_identity, rec2.y_i))
     assert rec1.cert != rec2.cert
 
 
