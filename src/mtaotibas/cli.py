@@ -263,18 +263,14 @@ def harness():
 @click.option("--workload", "workload_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--delta", type=float, default=None,
               help="Coin bias; defaults to the bound's optimizer for the workload.")
-@click.option("--planted-a", type=int, default=None)
-@click.option("--planted-b", type=int, default=None)
 @click.option("--out-transcript", type=click.Path(dir_okay=False), default=None)
 @click.pass_obj
-def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcript):
+def cmd_harness_run(obj, workload_path, delta, out_transcript):
     """Replay a JSON workload script against a fresh challenger."""
     from .harness.bounds import optimal_delta
     from .harness.challenger import Challenger, CoCDHInstance
     from .harness.workload import check_workload, run_workload
 
-    if (planted_a is None) != (planted_b is None):
-        raise click.UsageError("give both --planted-a and --planted-b, or neither")
     engine = obj.engine
     with open(workload_path, "r", encoding="utf-8") as fh:
         ops = check_workload(json.load(fh))
@@ -284,12 +280,7 @@ def cmd_harness_run(obj, workload_path, delta, planted_a, planted_b, out_transcr
         q_e = sum(1 for o in ops if o.get("op") == "extract")
         q_s = sum(1 for o in ops if o.get("op") == "sign")
         delta = optimal_delta(q_c, q_e, q_s, 0)
-    if planted_a is not None:
-        instance = CoCDHInstance(engine.g1 ** planted_a, engine.g2 ** planted_b,
-                                 planted_a, planted_b)
-    else:
-        instance = CoCDHInstance.random(engine, rng)
-    ch = Challenger(engine, instance, delta, rng)
+    ch = Challenger(engine, CoCDHInstance.random(engine, rng), delta, rng)
     summary = run_workload(ch, ops)
     summary["delta"] = delta
     if out_transcript:

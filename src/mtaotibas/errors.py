@@ -40,7 +40,10 @@ class KeyAlreadyUsed(MtaError):
 
 
 class CorruptJournal(MtaError):
-    """A non-trailing journal record failed its checksum."""
+    """The journal cannot be trusted: a bad header, a non-trailing record
+    that fails its checksum or breaks the record schema, an unreadable frame
+    with a whole record after it, or a stored key that fails to decode on
+    first use."""
 
 
 class StoreLocked(MtaError):

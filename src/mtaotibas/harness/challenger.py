@@ -100,7 +100,6 @@ class Challenger:
         self.ta_by_cert: Dict[bytes, TASimRecord] = {}
         self.h1_list: Dict[Tuple[bytes, bytes, bytes], H1SimRecord] = {}
         self.counts = {"h0": 0, "h1": 0, "lowerlevel_setup": 0, "corrupt": 0, "extract": 0, "sign": 0}
-        self.exponentiations = {"h0": 0, "lowerlevel_setup": 0, "extract": 0, "sign": 0}
         self.abort_site: Optional[str] = None
         self.abort_detail = ""
         self.extraction: Optional[object] = None
@@ -138,7 +137,6 @@ class Challenger:
         g1, a = self.engine.g1, self.instance.a_elt
         id0 = self.engine.g1_product([(g1, alpha0), (a, alpha0p)])
         id1 = self.engine.g1_product([(g1, alpha1), (a, alpha1p)])
-        self.exponentiations["h0"] += 2 + 2 * coin
         rec = H0Record(identity, alpha0, alpha0p, alpha1, alpha1p, id0, id1, coin)
         self.h0_list[identity] = rec
         return rec
@@ -150,7 +148,6 @@ class Challenger:
         kappa_i = self.engine.random_scalar(self.rng)
         coin = self._flip()
         y_i = (self.instance.b_elt if coin else self.engine.g2) ** kappa_i
-        self.exponentiations["lowerlevel_setup"] += 1
         record = scheme.certify(self.engine, self.master, ta_identity, y_i)
         rec = TASimRecord(record=record, kappa_i=kappa_i, coin=coin)
         self.ta_list[ta_identity] = rec
@@ -222,7 +219,6 @@ class Challenger:
         if h0.coin == 1 and ta.coin == 1:
             self._abort("extract", "both coins planted")
         s0, s1 = self._key_components(h0, ta)
-        self.exponentiations["extract"] += 2
         return scheme.SignerKey(
             signer_id=identity,
             ta_fingerprint=ta.record.fingerprint(self.engine),
@@ -244,10 +240,8 @@ class Challenger:
             # programmed h cancels the challenge terms:
             # sigma = psi(B^(kappa*(alpha0 + h*alpha1)))
             exponent = ta.kappa_i * (h0.alpha0 + h1.h * h0.alpha1) % q
-            self.exponentiations["sign"] += 1
             return scheme.Signature(sigma=self.engine.psi(self.instance.b_elt ** exponent))
         s0, s1 = self._key_components(h0, ta)
-        self.exponentiations["sign"] += 3
         return scheme.Signature(sigma=self.engine.g1_product([(s0, 1), (s1, h1.h)]))
 
     # -- forgery handling ----------------------------------------------------
@@ -315,7 +309,6 @@ class Challenger:
         return {
             "delta": self.delta,
             "counts": dict(self.counts),
-            "exponentiations": dict(self.exponentiations),
             "abort_site": self.abort_site,
             "abort_detail": self.abort_detail,
             "h0": [

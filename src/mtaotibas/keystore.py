@@ -265,14 +265,15 @@ class KeyStore:
         """Persist a fresh key. Rejects a second fresh key for the same
         (identity, authority); storing again after use models key rotation."""
         with self._lock:
-            if (key.signer_id, key.ta_fingerprint) in self._fresh:
+            entry_id = self._next_id
+            raw = envelopes.to_binary(self.engine, key)
+            stored = _StoredKey(self.engine, raw, self._where(entry_id), key)  # checks the framing
+            if stored.owner in self._fresh:
                 raise DuplicateKey(
                     f"fresh key for {key.signer_id!r} under this authority already stored"
                 )
-            entry_id = self._next_id
-            raw = envelopes.to_binary(self.engine, key)
             self._append({"op": "add", "entry": entry_id, "key": raw.hex()})
-            self._add(entry_id, _StoredKey(self.engine, raw, self._where(entry_id), key))
+            self._add(entry_id, stored)
             return entry_id
 
     def sign_once(self, entry_id: int, ta: scheme.TARecord, message: bytes) -> scheme.Signature:

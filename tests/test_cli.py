@@ -390,8 +390,8 @@ _HARNESS_RUN = MOCK + ["harness", "run", "--workload", "workload.json"]
     (_MONTE_CARLO + ["--qc", "-1"], "--qc"),
     (_MONTE_CARLO + ["--qe", "-1"], "--qe"),
     (_MONTE_CARLO + ["--qs", "-1"], "--qs"),
-    (_HARNESS_RUN + ["--planted-a", "5"], "--planted-b"),
-    (_HARNESS_RUN + ["--planted-b", "5"], "--planted-a"),
+    (_HARNESS_RUN + ["--planted-b", "5"], "--planted-b"),  # no such option: the instance follows --seed
+    (_HARNESS_RUN + ["--planted-a", "5"], "--planted-a"),
 ])
 def test_harness_bad_numeric_input_exits_2(workdir, args, option):
     # the last option given wins, so each case overrides one valid value

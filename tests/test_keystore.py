@@ -7,6 +7,7 @@ import struct
 import threading
 import warnings
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from mtaotibas.errors import (
     DuplicateKey,
     KeyAlreadyUsed,
     KeyNotFound,
+    MalformedEnvelope,
     StoreClosed,
     StoreLocked,
 )
@@ -129,6 +131,20 @@ def test_rotation_after_use_allowed(setup):
         with KeyStore(store.path, eng) as store:  # the rotated key is the fresh one
             with pytest.raises(DuplicateKey):
                 store.store_key(key)
+
+
+@pytest.mark.parametrize("bad", [{"signer_id": b""}, {"ta_fingerprint": b"\x01" * 31}],
+                         ids=["empty-signer-id", "short-fingerprint"])
+def test_malformed_key_rejected_before_the_journal_is_written(setup, bad):
+    eng, trec, key, path = setup
+    with KeyStore(path, eng) as store:
+        entry_id = store.store_key(key)
+        before = path.read_bytes()
+        with pytest.raises(MalformedEnvelope):
+            store.store_key(replace(key, **bad))
+        assert path.read_bytes() == before
+    with KeyStore(path, eng) as store:  # the journal still opens and signs
+        assert store.sign_once(entry_id, trec, b"m") == scheme.sign(eng, key, trec, b"m")
 
 
 def test_reopen_decodes_no_key(setup, fixed_scenario, monkeypatch):

@@ -491,4 +491,4 @@ def test_pinned_check_outcomes(fixed_scenario, bls_engine):
         outcomes.append([end, mock.pairing_count - before, ch.transcript()])
 
     blob = json.dumps(outcomes, sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == "0d7a2e11702372146a022e39c7571dd121c767c5d6ffb9a9777af6aad82accbd"
+    assert hashlib.sha256(blob).hexdigest() == "d35ca46637e4854a6ac3dec547f6719598d9896aba6de09cc15c2fec6c9bb975"
