@@ -27,19 +27,32 @@ argument Q alone: _g2_lines walks T from Q to [|x|]Q in affine coordinates,
 tangent and chord alike, with one batched inversion per step across all the
 points, and keeps each step's (lambda, lambda*x_T - y_T). The evaluation
 loop squares f at each doubling step and multiplies in every term's line,
-divided by y_P (never 0: E(Fq) has odd order) to the shape c0 + c1*v + v*w,
-as two plain Fq6 products by c0 + c1*v. multi_miller_loop builds the lines
-of its distinct G2 points on each call; an engine's multi_pair takes them
-from a per-engine LRU of _LINE_CACHE_POINTS points, as the scheme's G2
-arguments (g2, y, each authority's y_i) recur (the fixed-argument pairing of
-Costello-Stebila, LATINCRYPT 2010). Both run the same evaluation loop. The
-division by y_P is free, as the final exponentiation sends every Fq factor
-to 1 (Barreto-Kim-Lynn-Scott, CRYPTO 2002); it computes the cube of the
-pairing through the decomposition
+divided by y_P (never 0: E(Fq) has odd order) to the shape c0 + c1*v + v*w.
+The division is free, as the final exponentiation sends every Fq factor to
+1 (Barreto-Kim-Lynn-Scott, CRYPTO 2002). Both kernels are flat integer
+formulas with one reduction per output coordinate: fq12_sqr as three Fq6
+squarings, and fq12_mul_by_line, which takes the cached line and the
+term's 1/y_P and -x_P/y_P and scales as it multiplies. multi_miller_loop
+builds the lines of its distinct G2 points on each call; an engine's
+multi_pair and first_failing take them from a per-engine LRU of
+_LINE_CACHE_POINTS points, as the scheme's G2 arguments (g2, y, each
+authority's y_i) recur (the fixed-argument pairing of Costello-Stebila,
+LATINCRYPT 2010). All run the same evaluation loop.
+
+first_failing builds the fresh lines of several products together, then
+multiplies their Miller values and pays one final exponentiation for them
+all (Granger-Smart, ePrint 2006/172). That is sound when every product but
+the last carries random weights (the small-exponent batch test of
+Ferrara-Green-Hohenberger-Pedersen, CT-RSA 2009). Only when the combined
+check fails does it final-exponentiate the products one at a time, in
+order, up to the first that fails; the last is named without one.
+
+The final exponentiation computes the cube of the pairing through the
+decomposition
 3*(p^4-p^2+1)/r = (x-1)^2 (x+p) (x^2+p^2-1) + 3, an integer identity
 checked in the test suite. After its easy part every value lies in the
 cyclotomic subgroup, so its squarings are Granger-Scott's (PKC 2010):
-three Fq4 squarings in flat integer formulas, half the products of
+three Fq4 squarings in flat integer formulas, under half the products of
 fq12_sqr. Cubing the reduced pairing preserves bilinearity and
 non-degeneracy, so all protocol equations are unaffected; only raw GT byte
 values differ from other libraries.
@@ -254,10 +267,76 @@ def fq12_mul(x, y):
 
 
 def fq12_sqr(x):
-    a, b = x
-    t = fq6_mul(a, b)
-    lo = fq6_sub(fq6_sub(fq6_mul(fq6_add(a, b), fq6_add(a, fq6_mul_v(b))), t), fq6_mul_v(t))
-    return (lo, fq6_add(t, t))
+    # (a + b*w)^2 = (a^2 + v*b^2) + ((a+b)^2 - a^2 - b^2)*w, as w^2 = v. Each
+    # Fq6 square z^2 is Chung-Hasan's SQR2 (SAC 2006): with s0 = z0^2,
+    # s1 = 2*z0*z1, s2 = (z0 - z1 + z2)^2, s3 = 2*z1*z2 and s4 = z2^2,
+    # z^2 = (s0 + xi*s3) + (s1 + xi*s4)*v + (s1 + s2 + s3 - s0 - s4)*v^2,
+    # three Fq2 squarings and two products. Reductions wait for the twelve
+    # outputs.
+    ((a0r, a0i), (a1r, a1i), (a2r, a2i)), ((b0r, b0i), (b1r, b1i), (b2r, b2i)) = x
+    s0r = (a0r + a0i) * (a0r - a0i)  # A = a^2
+    s0i = 2 * a0r * a0i
+    s1r = 2 * (a0r * a1r - a0i * a1i)
+    s1i = 2 * (a0r * a1i + a0i * a1r)
+    tr = a0r - a1r + a2r
+    ti = a0i - a1i + a2i
+    s2r = (tr + ti) * (tr - ti)
+    s2i = 2 * tr * ti
+    s3r = 2 * (a1r * a2r - a1i * a2i)
+    s3i = 2 * (a1r * a2i + a1i * a2r)
+    s4r = (a2r + a2i) * (a2r - a2i)
+    s4i = 2 * a2r * a2i
+    A0r = s0r + s3r - s3i
+    A0i = s0i + s3r + s3i
+    A1r = s1r + s4r - s4i
+    A1i = s1i + s4r + s4i
+    A2r = s1r + s2r + s3r - s0r - s4r
+    A2i = s1i + s2i + s3i - s0i - s4i
+    s0r = (b0r + b0i) * (b0r - b0i)  # B = b^2
+    s0i = 2 * b0r * b0i
+    s1r = 2 * (b0r * b1r - b0i * b1i)
+    s1i = 2 * (b0r * b1i + b0i * b1r)
+    tr = b0r - b1r + b2r
+    ti = b0i - b1i + b2i
+    s2r = (tr + ti) * (tr - ti)
+    s2i = 2 * tr * ti
+    s3r = 2 * (b1r * b2r - b1i * b2i)
+    s3i = 2 * (b1r * b2i + b1i * b2r)
+    s4r = (b2r + b2i) * (b2r - b2i)
+    s4i = 2 * b2r * b2i
+    B0r = s0r + s3r - s3i
+    B0i = s0i + s3r + s3i
+    B1r = s1r + s4r - s4i
+    B1i = s1i + s4r + s4i
+    B2r = s1r + s2r + s3r - s0r - s4r
+    B2i = s1i + s2i + s3i - s0i - s4i
+    a0r += b0r  # C = (a + b)^2
+    a0i += b0i
+    a1r += b1r
+    a1i += b1i
+    a2r += b2r
+    a2i += b2i
+    s0r = (a0r + a0i) * (a0r - a0i)
+    s0i = 2 * a0r * a0i
+    s1r = 2 * (a0r * a1r - a0i * a1i)
+    s1i = 2 * (a0r * a1i + a0i * a1r)
+    tr = a0r - a1r + a2r
+    ti = a0i - a1i + a2i
+    s2r = (tr + ti) * (tr - ti)
+    s2i = 2 * tr * ti
+    s3r = 2 * (a1r * a2r - a1i * a2i)
+    s3i = 2 * (a1r * a2i + a1i * a2r)
+    s4r = (a2r + a2i) * (a2r - a2i)
+    s4i = 2 * a2r * a2i
+    # v*B = xi*B2 + B0*v + B1*v^2
+    return (
+        (((A0r + B2r - B2i) % PRIME, (A0i + B2r + B2i) % PRIME),
+         ((A1r + B0r) % PRIME, (A1i + B0i) % PRIME),
+         ((A2r + B1r) % PRIME, (A2i + B1i) % PRIME)),
+        (((s0r + s3r - s3i - A0r - B0r) % PRIME, (s0i + s3r + s3i - A0i - B0i) % PRIME),
+         ((s1r + s4r - s4i - A1r - B1r) % PRIME, (s1i + s4r + s4i - A1i - B1i) % PRIME),
+         ((s1r + s2r + s3r - s0r - s4r - A2r - B2r) % PRIME, (s1i + s2i + s3i - s0i - s4i - A2i - B2i) % PRIME)),
+    )
 
 
 def fq12_conj(x):
@@ -270,13 +349,76 @@ def fq12_inv(x):
     return (fq6_mul(a, d), fq6_neg(fq6_mul(b, d)))
 
 
-def fq12_mul_by_line(f, c0, c1):
-    # f * (l + v*w) with l = c0 + c1*v, the shape of a scaled line function:
-    # (a + b*w)(l + v*w) = (a*l + b*v^2) + (a*v + b*l)*w, as w^2 = v. The
-    # zero third coefficient of l costs fq6_mul next to nothing.
-    a, b = f
-    line = (c0, c1, _FQ2_ZERO)
-    return (fq6_add(fq6_mul(a, line), fq6_mul_v(fq6_mul_v(b))), fq6_add(fq6_mul_v(a), fq6_mul(b, line)))
+def fq12_mul_by_line(f, c0, c1, s0=1, s1=1):
+    # f * (l + v*w) with l = l0 + l1*v, l0 = s0*c0 and l1 = s1*c1 for Fq
+    # factors s0 and s1, the shape of a line function scaled by 1/y_P:
+    # (a + b*w)(l + v*w) = (a*l + b*v^2) + (a*v + b*l)*w, as w^2 = v. With
+    # v^3 = xi, a*l = (a0*l0 + xi*a2*l1) + (a0*l1 + a1*l0)*v + (a1*l1 + a2*l0)*v^2,
+    # whose middle coefficient is (a0 + a1)(l0 + l1) - a0*l0 - a1*l1, and
+    # b*v^2 = xi*b1 + xi*b2*v + b0*v^2; likewise b*l and a*v. Each Fq2
+    # product takes three multiplications, (xr + xi)(yr + yi) - xr*yr - xi*yi
+    # giving its imaginary part, with the sums of l's coordinates shared.
+    # Reductions wait for the twelve outputs.
+    ((a0r, a0i), (a1r, a1i), (a2r, a2i)), ((b0r, b0i), (b1r, b1i), (b2r, b2i)) = f
+    l0r = c0[0] * s0 % PRIME
+    l0i = c0[1] * s0 % PRIME
+    l1r = c1[0] * s1 % PRIME
+    l1i = c1[1] * s1 % PRIME
+    L0 = l0r + l0i
+    L1 = l1r + l1i
+    mr = l0r + l1r  # l0 + l1
+    mi = l0i + l1i
+    M = mr + mi
+    t0 = a0r * l0r  # a*l + b*v^2
+    t1 = a0i * l0i
+    v0r = t0 - t1
+    v0i = (a0r + a0i) * L0 - t0 - t1
+    t0 = a1r * l1r
+    t1 = a1i * l1i
+    v1r = t0 - t1
+    v1i = (a1r + a1i) * L1 - t0 - t1
+    sr = a0r + a1r
+    si = a0i + a1i
+    t0 = sr * mr
+    t1 = si * mi
+    xr = t0 - t1 - v0r - v1r
+    xi = (sr + si) * M - t0 - t1 - v0i - v1i
+    t0 = a2r * l0r
+    t1 = a2i * l0i
+    v1r += t0 - t1 + b0r
+    v1i += (a2r + a2i) * L0 - t0 - t1 + b0i
+    t0 = a2r * l1r
+    t1 = a2i * l1i
+    tr = t0 - t1 + b1r
+    ti = (a2r + a2i) * L1 - t0 - t1 + b1i
+    lo = (((v0r + tr - ti) % PRIME, (v0i + tr + ti) % PRIME),
+          ((xr + b2r - b2i) % PRIME, (xi + b2r + b2i) % PRIME),
+          (v1r % PRIME, v1i % PRIME))
+    t0 = b0r * l0r  # b*l + a*v
+    t1 = b0i * l0i
+    v0r = t0 - t1
+    v0i = (b0r + b0i) * L0 - t0 - t1
+    t0 = b1r * l1r
+    t1 = b1i * l1i
+    v1r = t0 - t1
+    v1i = (b1r + b1i) * L1 - t0 - t1
+    sr = b0r + b1r
+    si = b0i + b1i
+    t0 = sr * mr
+    t1 = si * mi
+    xr = t0 - t1 - v0r - v1r
+    xi = (sr + si) * M - t0 - t1 - v0i - v1i
+    t0 = b2r * l0r
+    t1 = b2i * l0i
+    v1r += t0 - t1 + a1r
+    v1i += (b2r + b2i) * L0 - t0 - t1 + a1i
+    t0 = b2r * l1r
+    t1 = b2i * l1i
+    tr = t0 - t1 + a2r
+    ti = (b2r + b2i) * L1 - t0 - t1 + a2i
+    return (lo, (((v0r + tr - ti) % PRIME, (v0i + tr + ti) % PRIME),
+                 ((xr + a0r) % PRIME, (xi + a0i) % PRIME),
+                 (v1r % PRIME, v1i % PRIME)))
 
 
 # Frobenius: w^(p-1) = xi^((p-1)/6), applied per power-of-w coefficient
@@ -698,32 +840,35 @@ def _g2_lines(qs):
     return tables
 
 
-def _miller_loop(pairs, line_tables):
-    # pairs: ((xp, yp) in Fq, (xq, yq) in Fq2); terms with an identity drop
-    # out. line_tables(qs) gives the _g2_lines tables of distinct points qs.
-    # Each step squares f (doublings only) and multiplies in every term's
-    # line ((lambda*x_T - y_T) - lambda*x_P*v) / y_P + v*w.
-    pairs = [(p, q) for p, q in pairs if p is not None and q is not None]
-    if not pairs:
-        return FQ12_ONE
-    qs = list(dict.fromkeys(q for _, q in pairs))
-    tables = dict(zip(qs, line_tables(qs)))
-    terms = []
-    for (xp, yp), q in pairs:
-        inv_yp = pow(yp, -1, PRIME)
-        terms.append((tables[q], inv_yp, -xp * inv_yp % PRIME))
-    f = FQ12_ONE
-    for k, double in enumerate(_MILLER_STEPS):
-        if double:
-            f = fq12_sqr(f)
-        for lines, inv_yp, xp_over_yp in terms:
-            lam, mu = lines[k]
-            f = fq12_mul_by_line(f, fq2_scale(mu, inv_yp), fq2_scale(lam, xp_over_yp))
-    return fq12_conj(f)  # the curve parameter is negative
+def _miller_loops(products, line_tables):
+    # products: lists of pairs ((xp, yp) in Fq, (xq, yq) in Fq2), whose terms
+    # with an identity drop out; one Miller value per product. One
+    # line_tables(qs) call gives the _g2_lines tables of the distinct points
+    # qs of all the products, so their fresh points share each step's
+    # batched inversion. Each step squares f (doublings only) and multiplies
+    # in every term's line ((lambda*x_T - y_T) - lambda*x_P*v) / y_P + v*w.
+    products = [[(p, q) for p, q in pairs if p is not None and q is not None] for pairs in products]
+    qs = list(dict.fromkeys(q for pairs in products for _, q in pairs))
+    tables = dict(zip(qs, line_tables(qs))) if qs else {}
+    values = []
+    for pairs in products:
+        terms = []
+        for (xp, yp), q in pairs:
+            inv_yp = pow(yp, -1, PRIME)
+            terms.append((tables[q], inv_yp, -xp * inv_yp % PRIME))
+        f = FQ12_ONE
+        for k, double in enumerate(_MILLER_STEPS):
+            if double:
+                f = fq12_sqr(f)
+            for lines, inv_yp, xp_over_yp in terms:
+                lam, mu = lines[k]
+                f = fq12_mul_by_line(f, mu, lam, inv_yp, xp_over_yp)
+        values.append(fq12_conj(f))  # the curve parameter is negative
+    return values
 
 
 def multi_miller_loop(pairs):
-    return _miller_loop(pairs, _g2_lines)
+    return _miller_loops([pairs], _g2_lines)[0]
 
 
 def _cyclotomic_sqr(f):
@@ -1031,7 +1176,22 @@ class Bls12381Engine(PairingEngine):
 
     def multi_pair(self, terms) -> GTElement:
         pairs = [(p.pt, r.pt) for p, r in self._counted(terms)]
-        return GTElement(final_exponentiation(_miller_loop(pairs, self._line_tables)))
+        return GTElement(final_exponentiation(_miller_loops([pairs], self._line_tables)[0]))
+
+    def first_failing(self, products):
+        # one final exponentiation of the product of all the Miller values;
+        # only when it is not one, one more per product but the last
+        products = [[(p.pt, r.pt) for p, r in terms] for terms in self._counted_products(products)]
+        values = _miller_loops(products, self._line_tables)
+        f = values[0]
+        for value in values[1:]:
+            f = fq12_mul(f, value)
+        if final_exponentiation(f) == FQ12_ONE:
+            return None
+        for i, value in enumerate(values[:-1]):
+            if final_exponentiation(value) != FQ12_ONE:
+                return i
+        return len(values) - 1
 
     def _line_tables(self, qs) -> list:
         """_g2_lines(qs) through the engine's LRU of _LINE_CACHE_POINTS

@@ -20,9 +20,23 @@ class PairingEngine:
     Elements are immutable and compare with ``==``. G1 has the full group
     law: ``a * b``, ``a ** k``, ``a.inverse()``, and ``g1_product`` for a
     product of powers. G2 offers ``r ** k`` (key generation), and GT only
-    ``==``: every pairing equation is checked as one ``multi_pair`` product
-    compared with ``identity_gt``, with the inverses taken in G1. The mock
-    backend, the tests' oracle, gives all three groups the full law.
+    ``==``: every pairing equation is a product of (G1, G2) terms that should
+    pair to one, with the inverses taken in G1. One equation is checked as a
+    ``multi_pair`` product compared with ``identity_gt``; several at once by
+    ``first_failing(products)``, which returns the index of the first product
+    that does not pair to one, or None when all do. The mock backend, the
+    tests' oracle, gives all three groups the full law.
+
+    ``first_failing``'s precondition: every product but the last carries
+    independent random weights, drawn after its inputs are fixed. Production
+    multiplies the products' Miller values and pays one final
+    exponentiation, so without the weights two failing products could
+    cancel; only when that check fails does it final-exponentiate each
+    product but the last, in order, to name the first that fails. The mock
+    checks each product on its own, since in its group of order 1009 weights
+    would leave a 1/1008 chance of cancelling. Both check every term of
+    every product before counting anything, and then count every term of
+    every product, whichever product fails.
 
     A subclass sets ``backend`` (named in envelopes), ``order``, the element
     classes ``G1``/``G2``, whose elements give their canonical bytes as
@@ -30,7 +44,8 @@ class PairingEngine:
     them), the widths ``scalar_bytes``/``g1_bytes``, the generators
     ``g1``/``g2`` and the identities
     ``identity_g1``/``identity_g2``/``identity_gt``. It provides
-    ``multi_pair`` (passing its terms through ``_counted``), ``_hash_to_g1``
+    ``multi_pair`` and ``first_failing`` (passing their terms through
+    ``_counted`` and ``_counted_products``), ``_hash_to_g1``
     (the uncached value that ``hash_to_g1`` memoizes) and
     ``_decode_g1``/``_decode_g2`` (the uncached decoders that
     ``decode_g1``/``decode_g2`` memoize), which return the value an element
@@ -63,18 +78,26 @@ class PairingEngine:
         with self._lock:
             return self._pairing_count
 
-    def _counted(self, terms) -> list:
-        """The terms as a list, once each is checked to be a (G1, G2) pair of
-        this engine; counts them. Raises before counting anything."""
-        terms = list(terms)
-        if not terms:
+    def _counted_products(self, products) -> list:
+        """The products as lists of terms, once every term of every product
+        is checked to be a (G1, G2) pair of this engine and neither the list
+        nor any product is empty; counts the terms of them all. Raises before
+        counting anything."""
+        products = [list(terms) for terms in products]
+        if not products or not all(products):
             raise EmptyInput("a pairing needs at least one term")
-        for p, r in terms:
-            if type(p) is not self.G1 or type(r) is not self.G2:
-                raise InvalidElement("pairing terms must be (G1, G2)")
+        for terms in products:
+            for p, r in terms:
+                if type(p) is not self.G1 or type(r) is not self.G2:
+                    raise InvalidElement("pairing terms must be (G1, G2)")
         with self._lock:
-            self._pairing_count += len(terms)
-        return terms
+            self._pairing_count += sum(map(len, products))
+        return products
+
+    def _counted(self, terms) -> list:
+        """The terms of one product as a list, checked and counted as by
+        ``_counted_products``."""
+        return self._counted_products([terms])[0]
 
     def pair(self, p, r):
         """e(p, r), as the one-term product."""

@@ -134,6 +134,15 @@ class MockEngine(PairingEngine):
     def multi_pair(self, terms) -> MockGT:
         return MockGT(sum(p.value * r.value for p, r in self._counted(terms)))
 
+    def first_failing(self, products) -> Optional[int]:
+        # each product on its own: a combined check would accept a failing
+        # weighted product and a failing last one that cancel, here with
+        # probability 1/1008
+        for i, terms in enumerate(self._counted_products(products)):
+            if sum(p.value * r.value for p, r in terms) % self.order:
+                return i
+        return None
+
     def psi(self, r: MockG2) -> MockG1:
         if type(r) is not MockG2:
             raise InvalidElement("psi expects a G2 element")

@@ -250,10 +250,17 @@ def verify(engine, params: SystemParams, bundle: AggregateBundle,
       3. the aggregate equation
          e(omega, g2) == prod_i e(prod_j id_{j,0} * id_{j,1}^{h_j}, y_i).
 
-    Certificate equations are batched into one product with random weights
-    (2 pairing evaluations per authority); the main equation is one product
-    of l+1 evaluations regardless of the signer count, and each authority's
-    inner product is one engine.g1_product.
+    The certificate equations are batched into one product of 2 terms per
+    authority, each raised to a fresh random 255-bit weight rho_i drawn after
+    the bundle is fixed; the main equation is one product of l+1 terms
+    regardless of the signer count, and each authority's inner product is
+    one engine.g1_product. Both products go to one engine.first_failing
+    call, which on the production backend pays one final exponentiation for
+    the pair: the weights keep a failing batch from cancelling a failing
+    main equation. A reject pays a second final exponentiation to name the
+    failed check. So every signer is hashed and both products are counted
+    on every path past the dedupe gate, and pairings_main is l+1 whenever
+    anything is paired.
     """
     hashes = hashes or engine_hashes(engine)
     rng = rng or random.SystemRandom()
@@ -274,16 +281,14 @@ def verify(engine, params: SystemParams, bundle: AggregateBundle,
             seen.add((ident, cert_b))
 
     # every certificate equation raised to a fresh random weight rho_i, so
-    # independent failures cannot cancel
+    # independent failures cannot cancel, among the certificates or against
+    # the main equation
     cert_terms = []
     if check_certificates:
         for ta, _ in bundle.groups:
             rho = engine.random_scalar(rng)
             h = _cert_hash(engine, cert_payload(engine, ta.ta_identity, ta.y_i))
             cert_terms += _equation(engine, ta.cert ** rho, [(h ** rho, params.y)])
-        if engine.multi_pair(cert_terms) != engine.identity_gt:
-            return VerifyResult(False, reason="certificate check failed",
-                                pairings_certificates=len(cert_terms))
 
     inner = []
     for (ta, signers), cert_b in zip(bundle.groups, certs):
@@ -293,6 +298,8 @@ def verify(engine, params: SystemParams, bundle: AggregateBundle,
             powers += [(hashes.identity_point(ident, 0), 1), (hashes.identity_point(ident, 1), h)]
         inner.append((engine.g1_product(powers), ta.y_i))
     terms = _equation(engine, bundle.omega, inner)
-    ok = engine.multi_pair(terms) == engine.identity_gt
-    return VerifyResult(ok, reason="" if ok else "aggregate equation failed",
+    checks = [(cert_terms, "certificate check failed")] if check_certificates else []
+    checks.append((terms, "aggregate equation failed"))
+    failing = engine.first_failing([product for product, _ in checks])
+    return VerifyResult(failing is None, reason="" if failing is None else checks[failing][1],
                         pairings_main=len(terms), pairings_certificates=len(cert_terms))

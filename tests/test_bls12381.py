@@ -251,6 +251,38 @@ def test_engine_line_cache_matches_reference(monkeypatch):
     assert list(e._lines) == qs[3:5] + qs[6:] + [qs[5], qs[1]]
 
 
+def test_first_failing_final_exponentiations(monkeypatch):
+    # one final exponentiation of all the products' Miller values; when that
+    # fails, one more per product in order, up to the first that fails or to
+    # the last, which is then named without one
+    e = curve.Bls12381Engine()
+    calls = []
+    final_exponentiation = curve.final_exponentiation
+    monkeypatch.setattr(curve, "final_exponentiation", lambda f: calls.append(f) or final_exponentiation(f))
+    x = e.g1 ** 5
+    good, bad = [(x, e.g2), (x.inverse(), e.g2)], [(e.g1, e.g2)]
+    for products, expected, exps in (([good], None, 1), ([bad], 0, 1), ([good, good], None, 1),
+                                     ([bad, good], 0, 2), ([good, bad], 1, 2), ([bad, bad], 0, 2),
+                                     ([good, bad, good], 1, 3), ([good, good, bad], 2, 3)):
+        calls.clear()
+        assert e.first_failing(products) == expected, products
+        assert len(calls) == exps, products
+
+
+def test_first_failing_builds_fresh_lines_once(monkeypatch):
+    # the fresh G2 points of all the products are built in one _g2_lines
+    # call, each point once, and a second call finds them all in the LRU
+    e = curve.Bls12381Engine()
+    built = []
+    g2_lines = curve._g2_lines
+    monkeypatch.setattr(curve, "_g2_lines", lambda qs: built.append(list(qs)) or g2_lines(qs))
+    x, a = e.g1 ** 7, e.g2 ** 3
+    products = [[(x, a), (x.inverse(), a)], [(x ** 3, e.g2), (x.inverse(), a)], [(e.g1, e.g2)]]
+    for _ in range(2):
+        assert e.first_failing(products) == 2
+    assert built == [[a.pt, e.g2.pt]]
+
+
 def test_engine_line_cache_shared_across_threads(monkeypatch):
     # more threads than cores look up, insert and evict on one engine's cache,
     # over a pool of G2 points larger than it; the lines are stand-ins, so the
@@ -549,6 +581,76 @@ def test_squarings_match_products():
         assert curve.fq12_sqr(x) == curve.fq12_mul(x, x), x
     for x in (curve.FQ12_ONE, _FQ12_ZERO):
         assert curve.fq12_sqr(x) == curve.fq12_mul(x, x)
+
+
+def _helper_fq12_sqr(x):
+    # the squaring as fq6 helper calls, which the flat fq12_sqr replaced
+    a, b = x
+    t = curve.fq6_mul(a, b)
+    lo = curve.fq6_sub(curve.fq6_sub(curve.fq6_mul(curve.fq6_add(a, b), curve.fq6_add(a, curve.fq6_mul_v(b))), t),
+                       curve.fq6_mul_v(t))
+    return (lo, curve.fq6_add(t, t))
+
+
+def _helper_mul_by_line(f, c0, c1):
+    # the sparse line product as fq6 helper calls, which the flat
+    # fq12_mul_by_line replaced; its callers scaled c0 and c1 first
+    a, b = f
+    line = (c0, c1, curve._FQ2_ZERO)
+    return (curve.fq6_add(curve.fq6_mul(a, line), curve.fq6_mul_v(curve.fq6_mul_v(b))),
+            curve.fq6_add(curve.fq6_mul_v(a), curve.fq6_mul(b, line)))
+
+
+def _helper_miller_loop(pairs):
+    # the evaluation loop over _g2_lines as it ran on the helper kernels,
+    # each line scaled by fq2_scale before its product
+    pairs = [(p, q) for p, q in pairs if p is not None and q is not None]
+    qs = list(dict.fromkeys(q for _, q in pairs))
+    tables = dict(zip(qs, curve._g2_lines(qs)))
+    terms = []
+    for (xp, yp), q in pairs:
+        inv_yp = pow(yp, -1, curve.PRIME)
+        terms.append((tables[q], inv_yp, -xp * inv_yp % curve.PRIME))
+    f = curve.FQ12_ONE
+    for k, double in enumerate(curve._MILLER_STEPS):
+        if double:
+            f = _helper_fq12_sqr(f)
+        for lines, inv_yp, xp_over_yp in terms:
+            lam, mu = lines[k]
+            f = _helper_mul_by_line(f, curve.fq2_scale(mu, inv_yp), curve.fq2_scale(lam, xp_over_yp))
+    return curve.fq12_conj(f)
+
+
+def test_flat_kernels_match_helper_compositions():
+    # bit for bit on zero, Fq-only and p - 1 coefficients: the squaring, and
+    # the line product on all-zero lines and on Fq factors 0, 1 and p - 1
+    # beside random ones, against the scaling done apart
+    rng = random.Random(26)
+    p, zero, one = curve.PRIME, (0, 0), (1, 0)
+    for x in [curve.FQ12_ONE, _FQ12_ZERO, (((p - 1, p - 1),) * 3,) * 2] + [_edge_fq12(rng) for _ in range(40)]:
+        assert curve.fq12_sqr(x) == _helper_fq12_sqr(x), x
+    lines = [(zero, zero), ((p - 1, p - 1), (p - 1, p - 1)), ((p - 1, 0), (0, p - 1))]
+    lines += [(_edge_fq2(rng), _edge_fq2(rng)) for _ in range(40)]
+    factors = [0, 1, p - 1, 2, (p + 1) // 2]
+    for c0, c1 in lines:
+        f = _edge_fq12(rng)
+        s0 = rng.choice(factors + [rng.randrange(p)])
+        s1 = rng.choice(factors + [rng.randrange(p)])
+        scaled = (curve.fq2_scale(c0, s0), curve.fq2_scale(c1, s1))
+        assert curve.fq12_mul_by_line(f, c0, c1, s0, s1) == _helper_mul_by_line(f, *scaled), (f, c0, c1, s0, s1)
+        assert curve.fq12_mul_by_line(f, c0, c1) == _helper_mul_by_line(f, c0, c1)
+        assert curve.fq12_mul_by_line(f, *scaled) == curve.fq12_mul(f, (scaled + (zero,), (zero, one, zero)))
+
+
+def test_miller_loop_matches_helper_kernels():
+    # the Miller output on 1 to 5 terms, a G2 point repeated among them,
+    # against the loop on the helper kernels
+    rng = random.Random(27)
+    ps, qs = _random_points(rng, 5, 4)
+    qs.append(qs[0])
+    for n in range(1, 6):
+        pairs = list(zip(ps, qs))[:n]
+        assert curve.multi_miller_loop(pairs) == _helper_miller_loop(pairs), n
 
 
 def test_fq2_batch_inv_matches_single():

@@ -112,7 +112,9 @@ def test_verify_undecodable_bundle_exits_2(workdir):
 def test_production_lifecycle_exit_codes(workdir):
     # the pinned lifecycle on the production backend: verify exits 0 with
     # l + 1 = 3 main and 2l = 4 certificate pairings; an aggregate or a
-    # certificate moved by g1 still decodes, and exits 1 naming the failed check
+    # certificate moved by g1 still decodes, and exits 1 naming the failed
+    # check. Both products are paired and reported on a reject too, the main
+    # equation after a certificate failure included
     runner = CliRunner()
     for name, args in cli_lifecycle_steps():
         assert args[:len(MOCK)] == MOCK
@@ -135,9 +137,12 @@ def test_production_lifecycle_exit_codes(workdir):
             node = node[key]
         node[last] = moved(node[last])
         Path("bundle.json").write_text(json.dumps(doc))
+        before = engine.pairing_count
         result = run(runner, ["verify", "--params", "params.json", "--bundle", "bundle.json"])
         assert result.exit_code == 1, f"{slot}: {result.output}"
-        assert json.loads(result.output)["reason"] == reason
+        assert json.loads(result.output) == {"valid": False, "reason": reason, "pairings_main": 3,
+                                             "pairings_certificates": 4}
+        assert engine.pairing_count - before == 3 + 4
 
 
 def test_extract_writes_no_key_file(workdir):

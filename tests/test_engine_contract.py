@@ -1,6 +1,7 @@
 """The engine contract both backends share: term and element type checks,
-products of powers in G1, the scalar codec's range and length checks, the
-domain-tag check, and the hash and decode memos."""
+the batch check of several pairing products, products of powers in G1, the
+scalar codec's range and length checks, the domain-tag check, and the hash
+and decode memos."""
 
 import random
 
@@ -198,3 +199,54 @@ def test_decode_memo_stays_within_its_fixed_size(engine, group):
         assert decode(encode(gen ** k)) == gen ** k
         assert memo.cache_info().currsize == min(k, size)
     assert memo.cache_info().maxsize == size
+
+
+def _products(engine):
+    """Products that pair to one (each a term and its inverse, or a bilinear
+    pair of terms) and products that do not."""
+    rng = random.Random(25)
+    a, b = rng.randrange(2, engine.order), rng.randrange(2, engine.order)
+    x = engine.g1 ** a
+    holds = [[(x, engine.g2), (x.inverse(), engine.g2)],
+             [(engine.g1 ** a, engine.g2 ** b), ((engine.g1 ** (a * b)).inverse(), engine.g2)]]
+    fails = [[(engine.g1, engine.g2)], [(x, engine.g2 ** b), (engine.g1, engine.g2)]]
+    return holds, fails
+
+
+def test_first_failing_names_the_first_failing_product(engine):
+    holds, fails = _products(engine)
+    cases = [
+        ([holds[0]], None), ([fails[0]], 0),
+        ([holds[0], holds[1]], None),  # all hold
+        ([fails[1], holds[0]], 0),  # only the first fails
+        ([holds[1], fails[0]], 1),  # only the second fails
+        ([fails[0], fails[1]], 0),  # both fail
+        ([holds[0], fails[1], fails[0]], 1), ([holds[1], holds[0], fails[1]], 2),
+    ]
+    for products, expected in cases:
+        before = engine.pairing_count
+        assert engine.first_failing(iter(products)) == expected, products
+        assert engine.pairing_count - before == sum(map(len, products))
+
+
+def test_first_failing_without_weights_may_cancel(engine):
+    # the precondition: a failing product and a failing last one whose
+    # values are inverse pass production's combined check, while the mock
+    # checks each product on its own
+    products = [[(engine.g1, engine.g2)], [(engine.g1.inverse(), engine.g2)]]
+    assert engine.first_failing(products) == (0 if engine.backend == "mock" else None)
+
+
+def test_first_failing_rejects_bad_terms_without_counting(engine):
+    holds, _ = _products(engine)
+    for bad in _bad_terms(engine):
+        for products in ([[bad]], [holds[0], [bad]], [[bad] + holds[1], holds[0]], [holds[0] + [bad]]):
+            before = engine.pairing_count
+            with pytest.raises(InvalidElement):
+                engine.first_failing(products)
+            assert engine.pairing_count == before
+    for products in ([], [[]], [holds[0], []], [[], holds[0]], [iter(())]):
+        before = engine.pairing_count
+        with pytest.raises(EmptyInput):
+            engine.first_failing(products)
+        assert engine.pairing_count == before

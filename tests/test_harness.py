@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -356,6 +357,22 @@ def test_finalize_rejects_unverifiable_forgery(engine):
     with pytest.raises(ReductionAbort) as err:
         ch.finalize(bundle)
     assert err.value.site == "forgery"
+
+
+def test_finalize_unknown_certificate_aborts_at_h1(engine):
+    # verify hashes every signer before its one batch check names a failed
+    # certificate, so a forgery under a record the challenger never issued
+    # ends at H1's UnknownCertificate, not at "certificate check failed"
+    rng = random.Random(15)
+    ch = Challenger(engine, CoCDHInstance.random(engine, rng), 0.5, rng)
+    record = ch.oracle_lowerlevel_setup(b"T")
+    forged = replace(record, cert=record.cert * engine.g1)
+    bundle = scheme.AggregateBundle.build([(forged, [(b"X", b"m")])], engine.element_g1(123))
+    assert scheme.verify(engine, ch.params, bundle).reason == "certificate check failed"
+    with pytest.raises(ReductionAbort) as err:
+        ch.finalize(bundle)
+    assert (err.value.site, err.value.detail) == ("forgery", "authority never set up")
+    assert ch.counts["h1"] == 0 and not ch.h1_list
 
 
 def test_finalize_degenerate_denominator(engine):

@@ -491,4 +491,135 @@ def test_pinned_check_outcomes(fixed_scenario, bls_engine):
         outcomes.append([end, mock.pairing_count - before, ch.transcript()])
 
     blob = json.dumps(outcomes, sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == "d35ca46637e4854a6ac3dec547f6719598d9896aba6de09cc15c2fec6c9bb975"
+    assert hashlib.sha256(blob).hexdigest() == "ab5d5e5bfb77e47a56ece2403119f7ddfd103e2fe982170499e2000e40b86f10"
+
+
+# -- one batch check against the two-equation reference --------------------------
+
+
+def _two_equation_verify(engine, params, bundle, check_certificates=True, rng=None):
+    """verify as it checked before its one batch check: the weighted
+    certificate product and then the aggregate equation, each its own
+    multi_pair, with nothing hashed after a certificate failure."""
+    if not bundle.groups:
+        return scheme.VerifyResult(False, reason="empty bundle")
+    if any(not signers for _, signers in bundle.groups):
+        return scheme.VerifyResult(False, reason="empty authority group")
+    hashes = scheme.engine_hashes(engine)
+    certs = [ta.cert_bytes(engine) for ta, _ in bundle.groups]
+    seen = set()
+    for (_, signers), cert_b in zip(bundle.groups, certs):
+        for ident, _ in signers:
+            if not ident:
+                return scheme.VerifyResult(False, reason="empty signer identity")
+            if (ident, cert_b) in seen:
+                return scheme.VerifyResult(False, reason="duplicate (identity, authority) pair")
+            seen.add((ident, cert_b))
+    cert_terms = []
+    if check_certificates:
+        for ta, _ in bundle.groups:
+            rho = engine.random_scalar(rng)
+            h = scheme._cert_hash(engine, scheme.cert_payload(engine, ta.ta_identity, ta.y_i))
+            cert_terms += scheme._equation(engine, ta.cert ** rho, [(h ** rho, params.y)])
+        if engine.multi_pair(cert_terms) != engine.identity_gt:
+            return scheme.VerifyResult(False, reason="certificate check failed",
+                                       pairings_certificates=len(cert_terms))
+    inner = []
+    for (ta, signers), cert_b in zip(bundle.groups, certs):
+        powers = []
+        for ident, message in signers:
+            h = hashes.message_scalar(message, ident, cert_b)
+            powers += [(hashes.identity_point(ident, 0), 1), (hashes.identity_point(ident, 1), h)]
+        inner.append((engine.g1_product(powers), ta.y_i))
+    terms = scheme._equation(engine, bundle.omega, inner)
+    ok = engine.multi_pair(terms) == engine.identity_gt
+    return scheme.VerifyResult(ok, reason="" if ok else "aggregate equation failed",
+                               pairings_main=len(terms), pairings_certificates=len(cert_terms))
+
+
+def _flip_bit(data, rng):
+    bit = rng.randrange(len(data) * 8)
+    return data[:bit // 8] + bytes([data[bit // 8] ^ (1 << (bit % 8))]) + data[bit // 8 + 1:]
+
+
+def _tamper_classes(eng, bundle, rng):
+    """One bundle per tamper class of acceptance criterion 3: a bit of a
+    message or an identity flipped; omega or a cert times a random nonzero
+    power of g1, a y_i raised to a random power other than 1."""
+    gi = rng.randrange(len(bundle.groups))
+    ta, signers = bundle.groups[gi]
+    si = rng.randrange(len(signers))
+    ident, message = signers[si]
+
+    def with_group(group):
+        return replace(bundle, groups=bundle.groups[:gi] + (group,) + bundle.groups[gi + 1:])
+
+    def with_signer(signer):
+        return with_group((ta, signers[:si] + (signer,) + signers[si + 1:]))
+
+    def k(low=1):
+        return rng.randrange(low, eng.order)
+
+    yield "message", with_signer((ident, _flip_bit(message, rng)))
+    yield "identity", with_signer((_flip_bit(ident, rng), message))
+    yield "omega", replace(bundle, omega=bundle.omega * eng.g1 ** k())
+    yield "y_i", with_group((replace(ta, y_i=ta.y_i ** k(2)), signers))
+    yield "cert", with_group((replace(ta, cert=ta.cert * eng.g1 ** k()), signers))
+
+
+def _cancelling_bundle(eng, rng, n, l):
+    """A bundle whose two flaws cancel under weight 1: the first
+    authority's cert times g1, every signature made under that moved record
+    (the cert's bytes feed H1, so the aggregate equation fails only by what
+    omega is moved), and omega times g1^-1. The certificate product then
+    pairs to e(g1, g2)^-1 and the main product to e(g1, g2)."""
+    master, params = scheme.root_setup(eng, rng)
+    tas = [scheme.lowerlevel_setup(eng, params, master, f"ta-{i}".encode(), rng) for i in range(l)]
+    secret, record = tas[0]
+    tas[0] = (secret, replace(record, cert=record.cert * eng.g1))
+    groups, signatures = {}, []
+    for i in range(n):
+        secret, record = tas[i % l]
+        ident, message = f"user-{i}".encode(), rng.getrandbits(160).to_bytes(20, "big")
+        signatures.append(scheme.sign(eng, scheme.extract(eng, secret, record, ident), record, message))
+        groups.setdefault(i % l, (record, []))[1].append((ident, message))
+    omega = scheme.aggregate(eng, signatures) * eng.g1.inverse()
+    return params, scheme.AggregateBundle.build([groups[k] for k in sorted(groups)], omega)
+
+
+def _assert_matches_reference(eng, params, bundle, seed, check_certificates=True):
+    l = len(bundle.groups)
+    before = eng.pairing_count
+    result = scheme.verify(eng, params, bundle, check_certificates=check_certificates, rng=random.Random(seed))
+    spent = eng.pairing_count - before
+    reference = _two_equation_verify(eng, params, bundle, check_certificates, rng=random.Random(seed))
+    assert (result.valid, result.reason) == (reference.valid, reference.reason)
+    # the one intended change: after a certificate failure the main equation
+    # is paired too, so its l + 1 terms are reported and spent
+    assert (result.pairings_main, result.pairings_certificates) == (l + 1, 2 * l if check_certificates else 0)
+    assert spent == result.pairings_main + result.pairings_certificates
+    return result
+
+
+@pytest.mark.parametrize("backend", ["mock", "production"])
+def test_verify_matches_two_equation_reference(backend, bls_engine):
+    eng = MockEngine() if backend == "mock" else bls_engine
+    shapes = [(1, 1), (2, 2), (3, 2), (5, 3), (4, 4)] * 4 if backend == "mock" else [(1, 1), (3, 2)]
+    for seed, (n, l) in enumerate(shapes):
+        rng = random.Random(0x25D0 + seed)
+        params, bundle = random_honest_bundle(eng, rng, n, l)
+        assert _assert_matches_reference(eng, params, bundle, seed)
+        assert _assert_matches_reference(eng, params, bundle, seed, check_certificates=False)
+        for kind, tampered in _tamper_classes(eng, bundle, rng):
+            result = _assert_matches_reference(eng, params, tampered, seed)
+            expected = "certificate check failed" if kind in ("y_i", "cert") else "aggregate equation failed"
+            assert (result.valid, result.reason) == (False, expected), kind
+        params, bundle = _cancelling_bundle(eng, rng, n, l)
+        result = _assert_matches_reference(eng, params, bundle, seed)
+        assert (result.valid, result.reason) == (False, "certificate check failed")
+        unchecked = scheme.verify(eng, params, bundle, check_certificates=False)
+        assert (unchecked.valid, unchecked.reason) == (False, "aggregate equation failed")
+        # under weight 1 production's one final exponentiation accepts it;
+        # the mock, checking each product on its own, does not
+        unweighted = scheme.verify(eng, params, bundle, rng=ScriptedRng(*[1] * l))
+        assert unweighted.valid == (backend == "production"), unweighted
