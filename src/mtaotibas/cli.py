@@ -330,12 +330,13 @@ def cmd_bound_check(qc, qe, qs, n, grid):
 @click.option("--qe", type=_COUNT, default=5, show_default=True)
 @click.option("--qs", type=_COUNT, default=5, show_default=True)
 @click.option("--trials", type=_POSITIVE, default=100_000, show_default=True)
-@click.option("--seed", "mc_seed", type=int, default=0, show_default=True)
-def cmd_monte_carlo(delta, qc, qe, qs, trials, mc_seed):
-    """Estimate the no-abort probability for the standard workload."""
+@click.pass_obj
+def cmd_monte_carlo(obj, delta, qc, qe, qs, trials):
+    """Estimate the no-abort probability for the standard workload; the
+    trials are seeded by --seed, or by 0 without it."""
     from .harness.bounds import monte_carlo_abort
 
-    rep = monte_carlo_abort(delta, qc, qe, qs, trials=trials, seed=mc_seed)
+    rep = monte_carlo_abort(delta, qc, qe, qs, trials=trials, seed=obj.seed or 0)
     emit(rep)
     if not rep["passes"]:
         sys.exit(EXIT_INVALID)

@@ -16,8 +16,8 @@ the right coin pattern. Coins are biased bits flipped per fresh identity
 
 Corrupt, extract and sign queries abort exactly on the coin patterns the
 challenger cannot answer. Everything is checkable on the mock backend,
-where planted exponents are visible; the production backend can run the
-oracles that never need the G2->G1 map, for timing only.
+where every element is its own discrete log; the production backend can
+run the oracles that never need the G2->G1 map, for timing only.
 """
 
 from dataclasses import dataclass
@@ -26,30 +26,18 @@ from typing import Dict, Optional, Tuple
 from .. import scheme
 from ..errors import DegenerateDenominator, ReductionAbort, UnknownCertificate
 
-ABORT_SITES = ("corrupt", "extract", "sign", "forgery")
-
 
 @dataclass(frozen=True)
 class CoCDHInstance:
-    """A challenge pair (g1^a, g2^b); exponents are carried only on the mock
-    backend so tests can check answers against ground truth."""
+    """A challenge pair (g1^a, g2^b). The exponents are not kept; on the
+    mock backend ``engine.dlog`` reads them back as ground truth."""
 
     a_elt: object  # G1
     b_elt: object  # G2
-    planted_a: Optional[int] = None
-    planted_b: Optional[int] = None
 
     @classmethod
     def random(cls, engine, rng) -> "CoCDHInstance":
-        a = engine.random_scalar(rng)
-        b = engine.random_scalar(rng)
-        planted = engine.backend == "mock"
-        return cls(
-            a_elt=engine.g1 ** a,
-            b_elt=engine.g2 ** b,
-            planted_a=a if planted else None,
-            planted_b=b if planted else None,
-        )
+        return cls(engine.g1 ** engine.random_scalar(rng), engine.g2 ** engine.random_scalar(rng))
 
 
 @dataclass

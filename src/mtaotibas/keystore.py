@@ -133,9 +133,6 @@ class KeyStore:
         self._entries: Dict[int, KeyEntry] = {}
         self._fresh: Dict[Tuple[bytes, bytes], int] = {}  # owner -> its fresh entry
         self._next_id = 1
-        # called after a use record is durably on disk, before the signature
-        # is returned; tests inject crashes here
-        self.after_persist_hook = None
         self._fh = open(self.path, "a+b")
         try:
             fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -292,8 +289,6 @@ class KeyStore:
                 {"op": "use", "entry": entry_id, "at": used_at, "digest": digest.hex()}
             )
             self._mark_used(entry_id, used_at, digest)
-            if self.after_persist_hook is not None:
-                self.after_persist_hook()
             return signature
 
     def get(self, entry_id: int) -> KeyEntry:

@@ -349,7 +349,7 @@ def fq12_inv(x):
     return (fq6_mul(a, d), fq6_neg(fq6_mul(b, d)))
 
 
-def fq12_mul_by_line(f, c0, c1, s0=1, s1=1):
+def fq12_mul_by_line(f, c0, c1, s0, s1):
     # f * (l + v*w) with l = l0 + l1*v, l0 = s0*c0 and l1 = s1*c1 for Fq
     # factors s0 and s1, the shape of a line function scaled by 1/y_P:
     # (a + b*w)(l + v*w) = (a*l + b*v^2) + (a*v + b*l)*w, as w^2 = v. With
@@ -1156,7 +1156,6 @@ class Bls12381Engine(PairingEngine):
         self.g1 = G1Point((_G1X, _G1Y))
         self.g2 = G2Point((_G2X, _G2Y))
         self.identity_g1 = G1Point(None)
-        self.identity_g2 = G2Point(None)
         self.identity_gt = GTElement(FQ12_ONE)
         # the Miller lines of recent G2 arguments, least recently used first;
         # filled by multi_pair, so an engine that never pairs builds none

@@ -42,9 +42,8 @@ class PairingEngine:
     classes ``G1``/``G2``, whose elements give their canonical bytes as
     ``encode()`` (``encode_g1``/``encode_g2`` check the type and return
     them), the widths ``scalar_bytes``/``g1_bytes``, the generators
-    ``g1``/``g2`` and the identities
-    ``identity_g1``/``identity_g2``/``identity_gt``. It provides
-    ``multi_pair`` and ``first_failing`` (passing their terms through
+    ``g1``/``g2`` and the identities ``identity_g1``/``identity_gt``. It
+    provides ``multi_pair`` and ``first_failing`` (passing their terms through
     ``_counted`` and ``_counted_products``), ``_hash_to_g1``
     (the uncached value that ``hash_to_g1`` memoizes) and
     ``_decode_g1``/``_decode_g2`` (the uncached decoders that

@@ -125,7 +125,6 @@ class MockEngine(PairingEngine):
         self.g1 = MockG1(1)
         self.g2 = MockG2(1)
         self.identity_g1 = MockG1(0)
-        self.identity_g2 = MockG2(0)
         self.identity_gt = MockGT(0)
         self._table = dict(table) if table else {}
 
@@ -183,6 +182,3 @@ class MockEngine(PairingEngine):
 
     def element_g1(self, value: int) -> MockG1:
         return MockG1(value)
-
-    def element_g2(self, value: int) -> MockG2:
-        return MockG2(value)

@@ -13,9 +13,9 @@ of the number of signers.
 
 H0 and H1, the two oracles the unforgeability proof programs, go through
 a HashSuite: by default the engine's hashes under fixed domain tags, while
-``verify`` and ``key_is_well_formed`` also take a simulator's programmed
-suite. The certificate hash is always the engine's, as the simulator runs
-the root itself. Every check is one equation e(sigma, g2) == prod_i e(P_i, pk_i).
+``verify`` also takes a simulator's programmed suite. The certificate hash
+is always the engine's, as the simulator runs the root itself. Every check
+is one equation e(sigma, g2) == prod_i e(P_i, pk_i).
 """
 
 import hashlib
@@ -200,18 +200,6 @@ def extract(engine, ta_secret: TASecret, ta: TARecord, signer_id: bytes) -> Sign
         s0=id0 ** ta_secret.kappa_i,
         s1=id1 ** ta_secret.kappa_i,
     )
-
-
-def key_is_well_formed(engine, key: SignerKey, ta: TARecord,
-                       hashes: Optional[HashSuite] = None) -> bool:
-    """Public check that both key components fit the authority's public key:
-    e(s_b, g2) == e(H0(id, b), y_i), for b = 0 and then b = 1."""
-    hashes = hashes or engine_hashes(engine)
-    for bit, s in ((0, key.s0), (1, key.s1)):
-        terms = _equation(engine, s, [(hashes.identity_point(key.signer_id, bit), ta.y_i)])
-        if engine.multi_pair(terms) != engine.identity_gt:
-            return False
-    return True
 
 
 def signature_hash(engine, message: bytes, signer_id: bytes, ta: TARecord) -> int:

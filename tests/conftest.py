@@ -1,4 +1,5 @@
 import random
+from typing import Optional
 
 import pytest
 
@@ -237,3 +238,15 @@ def random_honest_bundle(engine, rng, n, l):
         [groups[k] for k in sorted(groups)], scheme.aggregate(engine, signatures)
     )
     return params, bundle
+
+
+def key_is_well_formed(engine, key: scheme.SignerKey, ta: scheme.TARecord,
+                       hashes: Optional[scheme.HashSuite] = None) -> bool:
+    """Public check that both key components fit the authority's public key:
+    e(s_b, g2) == e(H0(id, b), y_i), for b = 0 and then b = 1."""
+    hashes = hashes or scheme.engine_hashes(engine)
+    for bit, s in ((0, key.s0), (1, key.s1)):
+        terms = scheme._equation(engine, s, [(hashes.identity_point(key.signer_id, bit), ta.y_i)])
+        if engine.multi_pair(terms) != engine.identity_gt:
+            return False
+    return True

@@ -228,7 +228,13 @@ def test_criterion_4_one_time(fixed_scenario, tmp_path):
     with KeyStore(crash_path, engine) as store:
         key = scheme.extract(engine, tsec, trec, b"crash-user")
         eid = store.store_key(key)
-        store.after_persist_hook = lambda: (_ for _ in ()).throw(Crash())
+        mark_used = store._mark_used  # this store's only: replay on open calls it too
+
+        def crash_after_mark(*args):
+            mark_used(*args)
+            raise Crash()
+
+        store._mark_used = crash_after_mark
         with pytest.raises(Crash):
             store.sign_once(eid, trec, b"crash-payload")
     with KeyStore(crash_path, engine) as store:
@@ -293,7 +299,7 @@ def test_criterion_6_extraction():
             degenerate += 1
             continue
         assert denominator != 0
-        expected = engine.g1 ** (instance.planted_a * instance.planted_b % engine.order)
+        expected = engine.g1 ** (engine.dlog(instance.a_elt) * engine.dlog(instance.b_elt) % engine.order)
         assert out == expected, f"trial {t}: extraction mismatch"
         exact += 1
     assert exact + degenerate == 100

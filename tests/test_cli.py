@@ -15,6 +15,7 @@ import mtaotibas
 from mtaotibas import scheme
 from mtaotibas.cli import main
 from mtaotibas.errors import InvalidElement, KeyAlreadyUsed
+from mtaotibas.harness.bounds import monte_carlo_abort
 from mtaotibas.pairing import get_engine
 
 from conftest import CLI_LAYOUT
@@ -370,11 +371,25 @@ def test_get_engine_imports_each_backend_on_demand():
 
 
 def test_harness_monte_carlo_small(workdir):
-    result = run(CliRunner(), ["harness", "monte-carlo", "--delta", "0.1", "--trials", "2000",
-                               "--seed", "3"])
+    result = run(CliRunner(), ["--seed", "3", "harness", "monte-carlo", "--delta", "0.1",
+                               "--trials", "2000"])
     assert result.exit_code == 0
     rep = json.loads(result.output)
     assert rep["passes"] is True
+
+
+def test_harness_monte_carlo_follows_the_group_seed(workdir):
+    # the trials take the group's --seed, and 0 without it; at 20 trials
+    # seeds 5 and 0 give different no_abort counts
+    args = ["harness", "monte-carlo", "--delta", "0.1", "--trials", "20"]
+    reports = []
+    for prefix, seed in ((["--seed", "5"], 5), ([], 0)):
+        expected = monte_carlo_abort(0.1, 5, 5, 5, trials=20, seed=seed)
+        result = run(CliRunner(), prefix + args)
+        assert json.loads(result.output) == expected
+        assert result.exit_code == (0 if expected["passes"] else 1)
+        reports.append(expected)
+    assert reports[0]["no_abort"] != reports[1]["no_abort"]
 
 
 _BOUND = ["harness", "bound-check", "--qc", "0", "--qe", "0", "--qs", "0", "--n", "0"]
@@ -397,6 +412,7 @@ _HARNESS_RUN = MOCK + ["harness", "run", "--workload", "workload.json"]
     (_MONTE_CARLO + ["--qs", "-1"], "--qs"),
     (_HARNESS_RUN + ["--planted-b", "5"], "--planted-b"),  # no such option: the instance follows --seed
     (_HARNESS_RUN + ["--planted-a", "5"], "--planted-a"),
+    (_MONTE_CARLO + ["--seed", "3"], "--seed"),  # the trials follow the group's --seed
 ])
 def test_harness_bad_numeric_input_exits_2(workdir, args, option):
     # the last option given wins, so each case overrides one valid value

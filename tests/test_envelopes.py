@@ -200,7 +200,7 @@ def _params_doc(fixed_scenario, y):
 def test_only_canonical_hex_decodes(fixed_scenario, y):
     eng = fixed_scenario["engine"]
     params = envelopes.from_json_obj(eng, _params_doc(fixed_scenario, "008a"), "system-params")
-    assert params.y == eng.element_g2(0x8A)
+    assert params.y == eng.g2 ** 0x8A
     with pytest.raises(MalformedEnvelope, match="hex"):
         envelopes.from_json_obj(eng, _params_doc(fixed_scenario, y), "system-params")
 

@@ -209,7 +209,13 @@ def test_crash_after_persist_leaves_used_state(setup):
 
     with KeyStore(path, eng) as store:
         entry_id = store.store_key(key)
-        store.after_persist_hook = lambda: (_ for _ in ()).throw(Boom())
+        mark_used = store._mark_used  # this store's only: replay on open calls it too
+
+        def crash_after_mark(*args):
+            mark_used(*args)
+            raise Boom()
+
+        store._mark_used = crash_after_mark
         with pytest.raises(Boom):
             store.sign_once(entry_id, trec, b"message-1")
     # the use record hit the disk before the crash: no second signature

@@ -9,7 +9,7 @@ from mtaotibas import scheme
 from mtaotibas.errors import EmptyInput, KeyMismatch
 from mtaotibas.pairing.mock import MOCK_MODULUS, MockEngine
 
-from conftest import FIXED, ScriptedRng, random_honest_bundle
+from conftest import FIXED, ScriptedRng, key_is_well_formed, random_honest_bundle
 
 Q = MOCK_MODULUS
 
@@ -85,7 +85,7 @@ def test_key_component_tamper_exhaustive(fixed_scenario, bit):
         if other == good:
             continue
         forged = replace(key, **{field: eng.element_g1(other)})
-        assert _checked(eng, scheme.key_is_well_formed, forged, trec) == (False, 2 + 2 * bit), other
+        assert _checked(eng, key_is_well_formed, forged, trec) == (False, 2 + 2 * bit), other
 
 
 def test_check_pairing_costs_mock(fixed_scenario):
@@ -95,7 +95,7 @@ def test_check_pairing_costs_mock(fixed_scenario):
     key = fixed_scenario["keys"][b"ID-A"]
     assert _checked(eng, scheme.verify_certificate, params, trec) == (True, 2)
     assert _checked(eng, scheme.verify_certificate, params, replace(trec, cert=trec.cert * eng.g1)) == (False, 2)
-    assert _checked(eng, scheme.key_is_well_formed, key, trec) == (True, 4)
+    assert _checked(eng, key_is_well_formed, key, trec) == (True, 4)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ def test_key_checks_production(bls_engine, bls_authorities):
         ("s1 from another authority", replace(key_p, s1=key_q.s1), ta_p, False, 4),
     ]
     for name, key, ta, answer, spent in cases:
-        assert _checked(e, scheme.key_is_well_formed, key, ta) == (answer, spent), name
+        assert _checked(e, key_is_well_formed, key, ta) == (answer, spent), name
 
 
 def test_two_tas_same_identity_different_certs(mock_engine):
@@ -162,7 +162,7 @@ def test_extract_key_well_formed(fixed_scenario):
     eng = fixed_scenario["engine"]
     for ident, ta_id, _, _, _, _ in FIXED["signers"]:
         _, trec = fixed_scenario["tas"][ta_id]
-        assert scheme.key_is_well_formed(eng, fixed_scenario["keys"][ident], trec)
+        assert key_is_well_formed(eng, fixed_scenario["keys"][ident], trec)
 
 
 def test_extract_distinct_tas_distinct_keys(fixed_scenario):
@@ -469,7 +469,7 @@ def test_pinned_check_outcomes(fixed_scenario, bls_engine):
         key = fixed_scenario["keys"][ident]
         for field in ("s0", "s1"):
             for v in range(Q):
-                outcomes.append(_checked(eng, scheme.key_is_well_formed,
+                outcomes.append(_checked(eng, key_is_well_formed,
                                          replace(key, **{field: eng.element_g1(v)}), trec))
 
     e = bls_engine
