@@ -12,6 +12,14 @@ with both scalars 1. One batched normalization, one inversion for a whole
 list, brings G1 tables and results to affine. g1_mul_plain, the
 reference, is a double-and-add ladder.
 
+The G1 formulas are dbl-2009-l and madd-2004-hmv of the Explicit-Formulas
+Database, lazily reduced (Aranha-Karabina-Longa-Gebotys-Lopez, EUROCRYPT
+2011): the doubling's C = B^2, X + B and E = 3A and the addition's
+H = U2 - X1 and r = S2 - Y1 enter their next operation unreduced.
+Every coordinate passed between formulas is in [0, p), which keeps H and
+r in (-p, p), so the tests H == 0 and r == 0 that pick the doubling or
+the identity stay exact.
+
 On the twist E' over Fq2, psi (untwist, Frobenius, twist: two conjugations
 and two products by constants) acts on G2 as [x] = -[|x|]. g2_mul splits
 k mod r into four base-|x| digits of 64 bits (Galbraith-Lin-Scott,
@@ -65,6 +73,11 @@ bits are all zero; 0x20 is set when y is the larger of y and -y, comparing
 coordinates in that same order. Decoding checks, in order, the length, the
 compression flag, the identity form, x < p, the curve and the subgroup,
 and raises InvalidElement at the first failure.
+
+Every Fq square root (hash-to-G1's candidates, both decoders, each z0
+candidate of an Fq2 root) is gated by a Jacobi symbol, about a seventh of
+the cost of the exponentiation a^((p+1)/4): a non-square is rejected
+without it, so each hash makes exactly one exponentiation.
 
 There is no efficiently computable G2->G1 isomorphism here, so the
 engine's psi (G2 -> G1, not the twist endomorphism above) is unsupported
@@ -454,11 +467,12 @@ def g1_on_curve(pt):
 
 
 def _j_double(X, Y, Z):
+    # dbl-2009-l; C, X + B and E enter their next products unreduced
     A = X * X % PRIME
     B = Y * Y % PRIME
-    C = B * B % PRIME
+    C = B * B
     D = 2 * ((X + B) * (X + B) - A - C) % PRIME
-    E = 3 * A % PRIME
+    E = 3 * A
     X3 = (E * E - 2 * D) % PRIME
     Y3 = (E * (D - X3) - 8 * C) % PRIME
     Z3 = 2 * Y * Z % PRIME
@@ -466,14 +480,14 @@ def _j_double(X, Y, Z):
 
 
 def _j_add_affine(X1, Y1, Z1, x2, y2):
-    # mixed addition with an affine second operand
+    # madd-2004-hmv, mixed addition with an affine second operand. H and r
+    # stay unreduced, in (-p, p): every coordinate the G1 formulas take or
+    # return is in [0, p), so H == 0 and r == 0 exactly when they are 0 mod p
     if Z1 == 0:
         return (x2, y2, 1)
     Z1Z1 = Z1 * Z1 % PRIME
-    U2 = x2 * Z1Z1 % PRIME
-    S2 = y2 * Z1 * Z1Z1 % PRIME
-    H = (U2 - X1) % PRIME
-    r = (S2 - Y1) % PRIME
+    H = x2 * Z1Z1 % PRIME - X1
+    r = y2 * Z1 * Z1Z1 % PRIME - Y1
     if H == 0:
         if r == 0:
             return _j_double(X1, Y1, Z1)
@@ -955,11 +969,31 @@ def final_exponentiation(f):
 # Square roots and hash-to-curve
 
 
+def _jacobi(a):
+    # the Jacobi symbol (a/p), which for the prime p is Legendre's: 1 on a
+    # nonzero square, -1 on a non-square, 0 on 0. Euclid's steps with
+    # quadratic reciprocity (Cohen, Alg. 1.4.10), every factor 2 stripped
+    # in one shift; (2/n) = -1 exactly when n = 3 or 5 mod 8.
+    a %= PRIME
+    n = PRIME
+    s = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            s = -s
+        if a & n & 2:  # a = n = 3 mod 4
+            s = -s
+        a, n = n % a, a
+    return s if n == 1 else 0
+
+
 def _fq_sqrt(a):
-    y = pow(a, _SQRT_EXP, PRIME)
-    if y * y % PRIME != a % PRIME:
+    # a non-square costs a Jacobi symbol, not the exponentiation; after the
+    # gate the root always exists, so the exponentiation's value is it
+    if _jacobi(a) == -1:
         return None
-    return y
+    return pow(a, _SQRT_EXP, PRIME)
 
 
 def _fq2_sqrt(t):

@@ -694,6 +694,97 @@ def test_j_batch_normalize_matches_plain():
     assert curve._j_batch_normalize(lifted[:1] + [(0, 1, 0)] + lifted[1:]) == pts[:1] + [None] + pts[1:]
 
 
+def _reduced_j_double(X, Y, Z):
+    # dbl-2009-l reduced after every product, as the module had it before its
+    # lazy form: the reference the lazy formulas must equal bit for bit
+    p = curve.PRIME
+    A = X * X % p
+    B = Y * Y % p
+    C = B * B % p
+    D = 2 * ((X + B) * (X + B) - A - C) % p
+    E = 3 * A % p
+    X3 = (E * E - 2 * D) % p
+    Y3 = (E * (D - X3) - 8 * C) % p
+    return (X3, Y3, 2 * Y * Z % p)
+
+
+def _reduced_j_add_affine(X1, Y1, Z1, x2, y2):
+    # madd-2004-hmv reduced after every product, the same kind of reference
+    p = curve.PRIME
+    if Z1 == 0:
+        return (x2, y2, 1)
+    Z1Z1 = Z1 * Z1 % p
+    U2 = x2 * Z1Z1 % p
+    S2 = y2 * Z1 * Z1Z1 % p
+    H = (U2 - X1) % p
+    r = (S2 - Y1) % p
+    if H == 0:
+        if r == 0:
+            return _reduced_j_double(X1, Y1, Z1)
+        return (0, 1, 0)
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X1 * HH % p
+    X3 = (r * r - HHH - 2 * V) % p
+    Y3 = (r * (V - X3) - Y1 * HHH) % p
+    return (X3, Y3, Z1 * H % p)
+
+
+def test_lazy_g1_formulas_match_reduced_reference():
+    # the lazily reduced _j_double and _j_add_affine against their reduced
+    # forms on Jacobian triples: random points with random Z, the identity
+    # (Z = 0), P + P (the doubling branch), P + (-P) (the identity branch),
+    # and coordinates at 0 and p - 1, on the curve or not
+    g = (curve._G1X, curve._G1Y)
+    rng = random.Random(2701)
+    p, r = curve.PRIME, curve.ORDER
+    pts = [curve.g1_mul_plain(g, rng.randrange(1, r)) for _ in range(12)] + [g]
+
+    def lift(pt, z):
+        return (pt[0] * z * z % p, pt[1] * z**3 % p, z)
+
+    edge = [0, 1, 2, p - 2, p - 1]
+    triples = [lift(pt, rng.randrange(1, p)) for pt in pts]
+    triples += [lift(pt, z) for pt in pts[:3] for z in (1, p - 1)]
+    triples += [(0, 1, 0), (5, 7, 0), (p - 1, p - 1, 0)]
+    triples += [(a, b, c) for a in edge for b in edge for c in edge]
+    triples += [tuple(rng.choice(edge + [rng.randrange(p)]) for _ in range(3)) for _ in range(100)]
+    for t in triples:
+        assert curve._j_double(*t) == _reduced_j_double(*t), t
+    affine = pts + [curve.g1_neg(pt) for pt in pts[:3]] + [(a, b) for a in edge for b in edge]
+    cases = [(t, a) for t in triples for a in rng.sample(affine, 4)]
+    for pt in pts[:6]:
+        for z in (1, p - 1, rng.randrange(2, p)):
+            cases.append((lift(pt, z), pt))  # P + P
+            cases.append((lift(pt, z), curve.g1_neg(pt)))  # P + (-P)
+    cases += [((a, b, 1), (a, b)) for a in edge for b in edge]  # H = 0, r = 0 off the curve
+    cases += [((a, b, 1), (a, (b + 1) % p)) for a in edge for b in edge]  # H = 0, r != 0
+    branches = Counter()
+    for t, (x, y) in cases:
+        out = curve._j_add_affine(*t, x, y)
+        assert out == _reduced_j_add_affine(*t, x, y), (t, x, y)
+        branches["identity in" if t[2] == 0 else "identity out" if out[2] == 0 else "sum"] += 1
+    assert min(branches.values()) >= 30, branches
+    assert curve._j_add_affine(*lift(g, 3), *g) == _reduced_j_double(*lift(g, 3))
+    assert curve._j_add_affine(*lift(g, 3), *curve.g1_neg(g)) == (0, 1, 0)
+
+
+def test_msm_chain_meets_a_table_entry():
+    # g1_msm's chain reaches +-Q for a table entry Q after doublings,
+    # so with Z != 1: for Q = [2^(j-1)]P the digit of [2^j]P is added at
+    # position j and Q's digit at position 1, where the accumulator is Q
+    # (the doubling branch), or -Q's (the identity branch part-way)
+    g = (curve._G1X, curve._G1Y)
+    rng = random.Random(2704)
+    for pt in (g, curve.g1_mul_plain(g, rng.randrange(2, curve.ORDER))):
+        for j in range(2, 6):
+            q = curve.g1_mul_plain(pt, 1 << (j - 1))
+            neg = curve.g1_neg(q)
+            for pairs in ([(pt, 1 << j), (q, 2)], [(pt, 1 << j), (neg, 2)], [(pt, 3 << j), (q, 6), (neg, 6)]):
+                assert curve.g1_msm(pairs) == _plain_sum(pairs), (j, pairs)
+            assert curve.g1_msm([(pt, 1 << j), (neg, 2)]) is None
+
+
 def test_fq12_inverse_and_frobenius():
     rng = random.Random(17)
     samples = [_edge_fq12(rng) for _ in range(6)] + [curve.FQ12_ONE]
@@ -961,6 +1052,51 @@ def test_fq2_sqrt_of_an_fq_element():
         else:
             assert root[1] == 0
     assert curve._fq2_sqrt((0, 0)) == (0, 0)
+
+
+def _euler(a):
+    # Euler's criterion: a^((p-1)/2) is 1, p - 1 or 0
+    p = curve.PRIME
+    e = pow(a, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e
+
+
+def _pow_only_fq_sqrt(a):
+    # _fq_sqrt before its Jacobi gate: always the exponentiation, then a check
+    p = curve.PRIME
+    y = pow(a, curve._SQRT_EXP, p)
+    return y if y * y % p == a % p else None
+
+
+def test_jacobi_matches_euler_and_gated_sqrt_matches_pow_only():
+    p = curve.PRIME
+    rng = random.Random(2702)
+    square, non_square = pow(rng.randrange(2, p), 2, p), -pow(rng.randrange(2, p), 2, p) % p
+    edges = [0, 1, p - 1, p, p + 1, square, non_square, 2, 4, 2 * p + 4, 1 << 380]
+    inputs = [rng.randrange(p) for _ in range(200)] + edges
+    symbols = [curve._jacobi(a) for a in inputs]
+    assert symbols == [_euler(a % p) for a in inputs]
+    assert [curve._jacobi(a) for a in edges[:7]] == [0, 1, -1, 0, 1, 1, -1]
+    assert Counter(symbols[:200])[1] > 70 and Counter(symbols[:200])[-1] > 70
+    assert [curve._fq_sqrt(a) for a in inputs] == [_pow_only_fq_sqrt(a) for a in inputs]
+
+
+def test_hash_makes_one_square_root_exponentiation(monkeypatch):
+    # the Jacobi gate stays in place: every x candidate that has no y is
+    # rejected without an exponentiation, so each hash makes exactly one,
+    # for the candidate it keeps (without the gate, about two per hash)
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(len(args) == 3 and args[1] == curve._SQRT_EXP)
+        return pow(*args)
+
+    monkeypatch.setattr(curve, "pow", counting_pow, raising=False)
+    rng = random.Random(2703)
+    for i in range(50):
+        calls.clear()
+        curve.hash_to_g1_point(b"mtaotibas-H0", bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40))))
+        assert sum(calls) == 1, i
 
 
 def _x_off_curve(group):
