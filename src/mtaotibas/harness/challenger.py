@@ -63,7 +63,6 @@ class TASimRecord:
 class H1SimRecord:
     identity: bytes
     message: bytes
-    cert_bytes: bytes
     h: int
     coin_prime: int
 
@@ -157,7 +156,7 @@ class Challenger:
             h = (-h0.alpha0p * pow(h0.alpha1p, -1, q)) % q
         else:
             h = self.engine.random_scalar(self.rng)
-        rec = H1SimRecord(identity, message, cert_bytes, h, coin_prime)
+        rec = H1SimRecord(identity, message, h, coin_prime)
         self.h1_list[key] = rec
         return rec
 
@@ -281,10 +280,10 @@ class Challenger:
             )
         denominator = target_ta.kappa_i * denom_core % q
 
-        candidate = bundle.omega
-        for ta, exponent in known:
-            candidate = candidate * self.engine.psi(ta.record.y_i) ** (-exponent % q)
-        out = candidate ** pow(denominator, -1, q)
+        # (omega / prod_i psi(y_i)^exponent_i)^(1/denominator), as one product
+        inv = pow(denominator, -1, q)
+        out = self.engine.g1_product([(bundle.omega, inv)] + [
+            (self.engine.psi(ta.record.y_i), -exponent * inv % q) for ta, exponent in known])
         self.extraction = out
         return out
 

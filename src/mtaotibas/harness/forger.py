@@ -126,7 +126,7 @@ def scripted_forger(ch: Challenger, rng: Optional[random.Random] = None) -> Forg
             omega_value = (omega_value + (engine.dlog(h0.id0) + h * engine.dlog(h0.id1)) * y_log) % q
         group_list.append((rec, signers))
 
-    bundle = scheme.AggregateBundle.build(group_list, engine.element_g1(omega_value))
+    bundle = scheme.AggregateBundle.build(group_list, engine.g1 ** omega_value)
     return Forgery(
         bundle=bundle,
         target_identity=target_id,

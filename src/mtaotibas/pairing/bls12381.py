@@ -42,10 +42,11 @@ formulas with one reduction per output coordinate: fq12_sqr as three Fq6
 squarings, and fq12_mul_by_line, which takes the cached line and the
 term's 1/y_P and -x_P/y_P and scales as it multiplies. multi_miller_loop
 builds the lines of its distinct G2 points on each call; an engine's
-multi_pair and first_failing take them from a per-engine LRU of
-_LINE_CACHE_POINTS points, as the scheme's G2 arguments (g2, y, each
-authority's y_i) recur (the fixed-argument pairing of Costello-Stebila,
-LATINCRYPT 2010). All run the same evaluation loop.
+first_failing, the one pairing check program code calls, and multi_pair
+take them from a per-engine LRU of _LINE_CACHE_POINTS points, as the
+scheme's G2 arguments (g2, y, each authority's y_i) recur (the
+fixed-argument pairing of Costello-Stebila, LATINCRYPT 2010). All run the
+same evaluation loop.
 
 first_failing builds the fresh lines of several products together, then
 multiplies their Miller values and pays one final exponentiation for them
@@ -1190,9 +1191,8 @@ class Bls12381Engine(PairingEngine):
         self.g1 = G1Point((_G1X, _G1Y))
         self.g2 = G2Point((_G2X, _G2Y))
         self.identity_g1 = G1Point(None)
-        self.identity_gt = GTElement(FQ12_ONE)
         # the Miller lines of recent G2 arguments, least recently used first;
-        # filled by multi_pair, so an engine that never pairs builds none
+        # filled when pairing, so an engine that never pairs builds none
         self._lines = OrderedDict()
 
     # pair, multi_pair, hash_to_g1 and the decoders stay in this class body,
@@ -1208,7 +1208,7 @@ class Bls12381Engine(PairingEngine):
     _decode_g2 = staticmethod(decode_g2_point)
 
     def multi_pair(self, terms) -> GTElement:
-        pairs = [(p.pt, r.pt) for p, r in self._counted(terms)]
+        pairs = [(p.pt, r.pt) for p, r in self._counted_products([terms])[0]]
         return GTElement(final_exponentiation(_miller_loops([pairs], self._line_tables)[0]))
 
     def first_failing(self, products):

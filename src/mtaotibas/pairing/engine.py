@@ -17,15 +17,16 @@ class PairingEngine:
     """A Type-3 pairing e: G1 x G2 -> GT on groups of prime order ``order``,
     with hashing, canonical encodings and a pairing counter.
 
-    Elements are immutable and compare with ``==``. G1 has the full group
-    law: ``a * b``, ``a ** k``, ``a.inverse()``, and ``g1_product`` for a
-    product of powers. G2 offers ``r ** k`` (key generation), and GT only
-    ``==``: every pairing equation is a product of (G1, G2) terms that should
-    pair to one, with the inverses taken in G1. One equation is checked as a
-    ``multi_pair`` product compared with ``identity_gt``; several at once by
-    ``first_failing(products)``, which returns the index of the first product
-    that does not pair to one, or None when all do. The mock backend, the
-    tests' oracle, gives all three groups the full law.
+    Elements are immutable and compare with ``==``. G1 offers ``a ** k``,
+    ``a.inverse()`` and ``g1_product`` for a product of powers, and G2
+    ``r ** k`` (key generation). Every pairing equation is a product of
+    (G1, G2) terms that should pair to one, with the inverses taken in G1,
+    and ``first_failing(products)`` checks them: it returns the index of the
+    first product that does not pair to one, or None when all do. Program
+    code reads no GT value; ``multi_pair``, ``pair``, G1's ``a * b`` and
+    production's ``multi_miller_loop`` stay while the benchmark names them
+    (ROADMAP.md, item 12). The mock backend, the tests' oracle, gives all
+    three groups the full law.
 
     ``first_failing``'s precondition: every product but the last carries
     independent random weights, drawn after its inputs are fixed. Production
@@ -42,9 +43,9 @@ class PairingEngine:
     classes ``G1``/``G2``, whose elements give their canonical bytes as
     ``encode()`` (``encode_g1``/``encode_g2`` check the type and return
     them), the widths ``scalar_bytes``/``g1_bytes``, the generators
-    ``g1``/``g2`` and the identities ``identity_g1``/``identity_gt``. It
-    provides ``multi_pair`` and ``first_failing`` (passing their terms through
-    ``_counted`` and ``_counted_products``), ``_hash_to_g1``
+    ``g1``/``g2`` and the identity ``identity_g1``. It provides
+    ``first_failing`` and ``multi_pair`` (passing their terms through
+    ``_counted_products``), ``_hash_to_g1``
     (the uncached value that ``hash_to_g1`` memoizes) and
     ``_decode_g1``/``_decode_g2`` (the uncached decoders that
     ``decode_g1``/``decode_g2`` memoize), which return the value an element
@@ -92,11 +93,6 @@ class PairingEngine:
         with self._lock:
             self._pairing_count += sum(map(len, products))
         return products
-
-    def _counted(self, terms) -> list:
-        """The terms of one product as a list, checked and counted as by
-        ``_counted_products``."""
-        return self._counted_products([terms])[0]
 
     def pair(self, p, r):
         """e(p, r), as the one-term product."""

@@ -125,13 +125,12 @@ class MockEngine(PairingEngine):
         self.g1 = MockG1(1)
         self.g2 = MockG2(1)
         self.identity_g1 = MockG1(0)
-        self.identity_gt = MockGT(0)
         self._table = dict(table) if table else {}
 
     # -- pairing ---------------------------------------------------------
 
     def multi_pair(self, terms) -> MockGT:
-        return MockGT(sum(p.value * r.value for p, r in self._counted(terms)))
+        return MockGT(sum(p.value * r.value for p, r in self._counted_products([terms])[0]))
 
     def first_failing(self, products) -> Optional[int]:
         # each product on its own: a combined check would accept a failing
@@ -179,6 +178,3 @@ class MockEngine(PairingEngine):
     def dlog(self, e: _MockElement) -> int:
         """Discrete log of any element (the element is its own dlog)."""
         return e.value
-
-    def element_g1(self, value: int) -> MockG1:
-        return MockG1(value)

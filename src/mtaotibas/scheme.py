@@ -110,6 +110,12 @@ def cert_payload(engine, ta_identity: bytes, y_i) -> bytes:
     return length_prefixed(ta_identity, engine.encode_g2(y_i))
 
 
+def _certificate_equation(engine, params: SystemParams, ta: TARecord) -> list:
+    """The terms of e(cert, g2) == e(cert-hash(payload), y)."""
+    h = _cert_hash(engine, cert_payload(engine, ta.ta_identity, ta.y_i))
+    return _equation(engine, ta.cert, [(h, params.y)])
+
+
 def certify(engine, master: MasterSecret, ta_identity: bytes, y_i) -> TARecord:
     """The authority record the root issues: its certificate is
     cert-hash(payload)^kappa."""
@@ -183,8 +189,7 @@ def lowerlevel_setup(engine, params: SystemParams, master: MasterSecret, ta_iden
 def verify_certificate(engine, params: SystemParams, ta: TARecord) -> bool:
     """Check the root's signature on an authority record:
     e(cert, g2) == e(cert-hash(payload), y)."""
-    h = _cert_hash(engine, cert_payload(engine, ta.ta_identity, ta.y_i))
-    return engine.multi_pair(_equation(engine, ta.cert, [(h, params.y)])) == engine.identity_gt
+    return engine.first_failing([_certificate_equation(engine, params, ta)]) is None
 
 
 def extract(engine, ta_secret: TASecret, ta: TARecord, signer_id: bytes) -> SignerKey:
@@ -275,8 +280,7 @@ def verify(engine, params: SystemParams, bundle: AggregateBundle,
     if check_certificates:
         for ta, _ in bundle.groups:
             rho = engine.random_scalar(rng)
-            h = _cert_hash(engine, cert_payload(engine, ta.ta_identity, ta.y_i))
-            cert_terms += _equation(engine, ta.cert ** rho, [(h ** rho, params.y)])
+            cert_terms += [(p ** rho, r) for p, r in _certificate_equation(engine, params, ta)]
 
     inner = []
     for (ta, signers), cert_b in zip(bundle.groups, certs):

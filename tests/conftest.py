@@ -247,6 +247,6 @@ def key_is_well_formed(engine, key: scheme.SignerKey, ta: scheme.TARecord,
     hashes = hashes or scheme.engine_hashes(engine)
     for bit, s in ((0, key.s0), (1, key.s1)):
         terms = scheme._equation(engine, s, [(hashes.identity_point(key.signer_id, bit), ta.y_i)])
-        if engine.multi_pair(terms) != engine.identity_gt:
+        if engine.first_failing([terms]) is not None:
             return False
     return True

@@ -1,13 +1,18 @@
 """The engine contract both backends share: term and element type checks,
 the batch check of several pairing products, products of powers in G1, the
-scalar codec's range and length checks, the domain-tag check, and the hash
-and decode memos."""
+scalar codec's range and length checks, the domain-tag check, the hash
+and decode memos, and that program code checks pairings and forms G1
+products through one method each."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from mtaotibas import envelopes, scheme
 from mtaotibas.errors import EmptyInput, InvalidElement
+from mtaotibas.harness.challenger import Challenger, CoCDHInstance
+from mtaotibas.harness.forger import scripted_forger
 from mtaotibas.pairing import bls12381, engine as engine_module, get_engine
 from mtaotibas.pairing.mock import MockEngine
 
@@ -70,7 +75,7 @@ def test_g1_product_matches_power_loop(engine):
 
 def test_g1_product_rejects_bad_bases(engine):
     f1, _ = _foreign(engine)
-    for bad in (engine.g2, engine.identity_gt, f1, None, 1):
+    for bad in (engine.g2, engine.pair(engine.g1, engine.g2), f1, None, 1):
         for pairs in ([(bad, 2)], [(engine.g1, 2), (bad, 3)]):
             with pytest.raises(InvalidElement):
                 engine.g1_product(pairs)
@@ -78,10 +83,11 @@ def test_g1_product_rejects_bad_bases(engine):
 
 def test_encode_rejects_the_other_group(engine):
     f1, f2 = _foreign(engine)
-    for e in (engine.g2, f1, engine.identity_gt, 1):
+    gt = engine.pair(engine.g1, engine.g2)
+    for e in (engine.g2, f1, gt, 1):
         with pytest.raises(InvalidElement):
             engine.encode_g1(e)
-    for e in (engine.g1, f2, engine.identity_gt, 1):
+    for e in (engine.g1, f2, gt, 1):
         with pytest.raises(InvalidElement):
             engine.encode_g2(e)
 
@@ -250,3 +256,42 @@ def test_first_failing_rejects_bad_terms_without_counting(engine):
         with pytest.raises(EmptyInput):
             engine.first_failing(products)
         assert engine.pairing_count == before
+
+
+def test_program_paths_ask_for_no_gt_value(engine, monkeypatch):
+    # every equation is checked by first_failing and every G1 product formed
+    # by g1_product: with the GT-valued calls, and production's G1 `*`,
+    # raising, the whole lifecycle gives its usual results
+    def forbidden(*_):
+        raise AssertionError("a program path asked for a GT value or a G1 `*`")
+
+    monkeypatch.setattr(type(engine), "multi_pair", forbidden)
+    monkeypatch.setattr(type(engine), "pair", forbidden)
+    if engine.backend == "production":
+        monkeypatch.setattr(bls12381.G1Point, "__mul__", forbidden)
+    rng = random.Random(28)
+    master, params = scheme.root_setup(engine, rng)
+    (sec1, ta1), (sec2, ta2) = (scheme.lowerlevel_setup(engine, params, master, name, rng)
+                                for name in (b"TA-1", b"TA-2"))
+    bad_ta = replace(ta1, cert=ta2.cert)
+    assert scheme.verify_certificate(engine, params, ta1)
+    assert not scheme.verify_certificate(engine, params, bad_ta)
+
+    signers = [(sec1, ta1, b"ID-1", b"m1"), (sec2, ta2, b"ID-2", b"m2")]
+    sigs = [scheme.sign(engine, scheme.extract(engine, sec, ta, ident), ta, m) for sec, ta, ident, m in signers]
+    groups = [(ta, [(ident, m)]) for _, ta, ident, m in signers]
+    bundle = scheme.AggregateBundle.build(groups, scheme.aggregate(engine, sigs))
+    assert scheme.verify(engine, params, bundle).valid
+    for bad, reason in ((replace(bundle, omega=sigs[0].sigma), "aggregate equation failed"),
+                        (scheme.AggregateBundle.build([(bad_ta, groups[0][1]), groups[1]], bundle.omega),
+                         "certificate check failed")):
+        result = scheme.verify(engine, params, bad)
+        assert (result.valid, result.reason) == (False, reason)
+    for obj, name in ((params, "system-params"), (ta1, "ta-record"), (bundle, "aggregate-bundle")):
+        assert envelopes.from_json_obj(engine, envelopes.to_json_obj(engine, obj), name) == obj
+
+    if engine.backend == "mock":
+        instance = CoCDHInstance.random(engine, rng)
+        ch = Challenger(engine, instance, delta=0.5, rng=rng)
+        forgery = scripted_forger(ch, rng=random.Random(29))
+        assert ch.finalize(forgery.bundle) == engine.g1 ** (engine.dlog(instance.a_elt) * engine.dlog(instance.b_elt))

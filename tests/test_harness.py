@@ -355,7 +355,7 @@ def test_finalize_rejects_unverifiable_forgery(engine):
     rng = random.Random(14)
     ch = Challenger(engine, CoCDHInstance.random(engine, rng), 0.5, rng)
     record = ch.oracle_lowerlevel_setup(b"T")
-    bundle = scheme.AggregateBundle.build([(record, [(b"X", b"m")])], engine.element_g1(123))
+    bundle = scheme.AggregateBundle.build([(record, [(b"X", b"m")])], engine.g1 ** 123)
     with pytest.raises(ReductionAbort) as err:
         ch.finalize(bundle)
     assert err.value.site == "forgery"
@@ -369,7 +369,7 @@ def test_finalize_unknown_certificate_aborts_at_h1(engine):
     ch = Challenger(engine, CoCDHInstance.random(engine, rng), 0.5, rng)
     record = ch.oracle_lowerlevel_setup(b"T")
     forged = replace(record, cert=record.cert * engine.g1)
-    bundle = scheme.AggregateBundle.build([(forged, [(b"X", b"m")])], engine.element_g1(123))
+    bundle = scheme.AggregateBundle.build([(forged, [(b"X", b"m")])], engine.g1 ** 123)
     assert scheme.verify(engine, ch.params, bundle).reason == "certificate check failed"
     with pytest.raises(ReductionAbort) as err:
         ch.finalize(bundle)
@@ -392,7 +392,7 @@ def test_finalize_degenerate_denominator(engine):
     # forge sigma from discrete logs (a-term coefficient is 0 by the collision)
     h0 = ch.h0_list[b"X"]
     sigma = (engine.dlog(h0.id0) + h * engine.dlog(h0.id1)) * engine.dlog(record.y_i) % Q
-    bundle = scheme.AggregateBundle.build([(record, [(b"X", b"m")])], engine.element_g1(sigma))
+    bundle = scheme.AggregateBundle.build([(record, [(b"X", b"m")])], engine.g1 ** sigma)
     with pytest.raises(DegenerateDenominator):
         ch.finalize(bundle)
 
@@ -407,7 +407,7 @@ def _dlog_forgery(ch, record, signers):
         h = ch.oracle_h1(ident, message, cert)
         h0 = ch.h0_list[ident]
         omega += (engine.dlog(h0.id0) + h * engine.dlog(h0.id1)) * engine.dlog(record.y_i)
-    bundle = scheme.AggregateBundle.build([(record, signers)], engine.element_g1(omega % Q))
+    bundle = scheme.AggregateBundle.build([(record, signers)], engine.g1 ** (omega % Q))
     assert scheme.verify(engine, ch.params, bundle, hashes=ch.hashes)
     return bundle
 

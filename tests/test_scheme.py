@@ -62,7 +62,7 @@ def test_certificate_tamper_exhaustive(fixed_scenario):
     for other in range(Q):
         if other == good:
             continue
-        forged = scheme.TARecord(trec.ta_identity, trec.y_i, eng.element_g1(other))
+        forged = scheme.TARecord(trec.ta_identity, trec.y_i, eng.g1 ** other)
         assert not scheme.verify_certificate(eng, params, forged)
 
 
@@ -84,7 +84,7 @@ def test_key_component_tamper_exhaustive(fixed_scenario, bit):
     for other in range(Q):
         if other == good:
             continue
-        forged = replace(key, **{field: eng.element_g1(other)})
+        forged = replace(key, **{field: eng.g1 ** other})
         assert _checked(eng, key_is_well_formed, forged, trec) == (False, 2 + 2 * bit), other
 
 
@@ -354,7 +354,7 @@ def test_mock_soundness_exhaustive_omega(fixed_scenario):
     for v in range(Q):
         if v == good:
             continue
-        bad = scheme.AggregateBundle(groups=bundle.groups, omega=eng.element_g1(v))
+        bad = scheme.AggregateBundle(groups=bundle.groups, omega=eng.g1 ** v)
         if not scheme.verify(eng, params, bad, check_certificates=False):
             rejected += 1
     assert rejected == Q - 1
@@ -463,14 +463,14 @@ def test_pinned_check_outcomes(fixed_scenario, bls_engine):
     for _, trec in fixed_scenario["tas"].values():
         for v in range(Q):
             outcomes.append(_checked(eng, scheme.verify_certificate, params,
-                                     replace(trec, cert=eng.element_g1(v))))
+                                     replace(trec, cert=eng.g1 ** v)))
     for ident, ta_id, *_ in FIXED["signers"]:
         _, trec = fixed_scenario["tas"][ta_id]
         key = fixed_scenario["keys"][ident]
         for field in ("s0", "s1"):
             for v in range(Q):
                 outcomes.append(_checked(eng, key_is_well_formed,
-                                         replace(key, **{field: eng.element_g1(v)}), trec))
+                                         replace(key, **{field: eng.g1 ** v}), trec))
 
     e = bls_engine
     params, bundle = random_honest_bundle(e, random.Random(0x9E1), 3, 2)
@@ -499,8 +499,8 @@ def test_pinned_check_outcomes(fixed_scenario, bls_engine):
 
 def _two_equation_verify(engine, params, bundle, check_certificates=True, rng=None):
     """verify as it checked before its one batch check: the weighted
-    certificate product and then the aggregate equation, each its own
-    multi_pair, with nothing hashed after a certificate failure."""
+    certificate product and then the aggregate equation, each checked on
+    its own, with nothing hashed after a certificate failure."""
     if not bundle.groups:
         return scheme.VerifyResult(False, reason="empty bundle")
     if any(not signers for _, signers in bundle.groups):
@@ -521,7 +521,7 @@ def _two_equation_verify(engine, params, bundle, check_certificates=True, rng=No
             rho = engine.random_scalar(rng)
             h = scheme._cert_hash(engine, scheme.cert_payload(engine, ta.ta_identity, ta.y_i))
             cert_terms += scheme._equation(engine, ta.cert ** rho, [(h ** rho, params.y)])
-        if engine.multi_pair(cert_terms) != engine.identity_gt:
+        if engine.first_failing([cert_terms]) is not None:
             return scheme.VerifyResult(False, reason="certificate check failed",
                                        pairings_certificates=len(cert_terms))
     inner = []
@@ -532,7 +532,7 @@ def _two_equation_verify(engine, params, bundle, check_certificates=True, rng=No
             powers += [(hashes.identity_point(ident, 0), 1), (hashes.identity_point(ident, 1), h)]
         inner.append((engine.g1_product(powers), ta.y_i))
     terms = scheme._equation(engine, bundle.omega, inner)
-    ok = engine.multi_pair(terms) == engine.identity_gt
+    ok = engine.first_failing([terms]) is None
     return scheme.VerifyResult(ok, reason="" if ok else "aggregate equation failed",
                                pairings_main=len(terms), pairings_certificates=len(cert_terms))
 
